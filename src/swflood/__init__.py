@@ -54,7 +54,6 @@ from .simulation import (
     MaximaMaps,
     RunResult,
     Scenario,
-    interpolate_q,
     load_checkpoint,
     load_scenario,
     read_hydrograph,
@@ -68,7 +67,6 @@ from .solver import (
     compute_dt,
     friction_step,
     rk2_step,
-    spatial_residual,
 )
 from .state import PhysicalParams, State, velocity
 
@@ -108,7 +106,6 @@ __all__ = [
     "free_outflow",
     "friction_step",
     "global_reduce",
-    "interpolate_q",
     "lake_at_rest_case",
     "load_checkpoint",
     "load_raster",
@@ -127,7 +124,6 @@ __all__ = [
     "save_checkpoint",
     "save_raster",
     "select_classes",
-    "spatial_residual",
     "steady_state_monitor",
     "stoker_middle_state",
     "stoker_solution",

@@ -147,7 +147,12 @@ class BlockEngine:
 
     With one block this reproduces the serial solver bitwise; with more
     blocks each stage runs per block on a worker pool with barriers at the
-    halo exchanges.
+    halo exchanges.  Each block advances only its own active box (see
+    solver.active_box), found after the halo exchange and ghost fill, so a
+    block that is dry with a dry halo costs a few reductions per stage and a
+    dry block wets as soon as water reaches its halo.  Cells outside a box
+    are left as they are, which is bitwise what evaluating them would give:
+    their residual is -0.0 and their momentum is already +0.0.
     """
 
     def __init__(self, state: State, params: PhysicalParams, spec: BoundarySpec,

@@ -9,8 +9,12 @@ and converted to the corner convention.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import uuid
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -171,10 +175,13 @@ def write_ascii_grid(grid: RasterGrid, precision: int = 6) -> str:
         f"cellsize {grid.cellsize:.17g}",
         f"NODATA_value {nodata_str}",
     ]
+    # Python floats format and compare faster than numpy scalars, same bytes.
+    spec = f".{precision}g"
+    nodata = grid.nodata
     for row in grid.values:
-        out.append(
-            " ".join(nodata_str if v == grid.nodata else f"{v:.{precision}g}" for v in row)
-        )
+        out.append(" ".join(
+            [nodata_str if v == nodata else format(v, spec) for v in row.tolist()]
+        ))
     return "\n".join(out) + "\n"
 
 
@@ -183,6 +190,25 @@ def load_raster(path) -> RasterGrid:
         return read_ascii_grid(fh)
 
 
+@contextlib.contextmanager
+def atomic_open(path, binary: bool = False):
+    """Write ``path`` through a temporary file in the same directory.
+
+    The file object writes to a fresh sibling; a clean exit renames it over
+    ``path`` with os.replace, and an exception deletes it, so ``path`` holds
+    either its old content or the complete new one, never a partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_raster(path, grid: RasterGrid, precision: int = 6) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(write_ascii_grid(grid, precision))

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import (
+    EDGES,
     BoundarySpec,
     EdgeCondition,
     EdgeKind,
@@ -26,13 +27,13 @@ from .boundary import (
     read_riverbed_mask,
 )
 from .partition import BlockEngine
-from .raster import RasterGrid, load_raster, write_ascii_grid
+from .raster import RasterGrid, atomic_open, load_raster, write_ascii_grid
 from .solver import NumericalAbort
 from .state import INT, PhysicalParams, State, velocity
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"SWFCHK01"
+CHECKPOINT_MAGIC = b"SWFCHK02"
 SNAPSHOT_PRECISION = 9
 
 
@@ -61,10 +62,6 @@ class Hydrograph:
 
     def q_at(self, t: float) -> float:
         return float(np.interp(t, self.times, self.flows))
-
-
-def interpolate_q(hg: Hydrograph, t: float) -> float:
-    return hg.q_at(t)
 
 
 def read_hydrograph(source) -> Hydrograph:
@@ -332,17 +329,37 @@ def steady_state_monitor(h_samples) -> list[float]:
     return changes
 
 
-def _config_digest(params: PhysicalParams, state: State) -> bytes:
+def _scenario_identity(scenario: Scenario, spec: BoundarySpec) -> bytes:
+    """The resolved scenario fields a restart must agree with beyond the
+    parameters, grid and topography: durations, spin-up, edge kinds, the
+    riverbed mask and the hydrograph knots."""
+    parts = [struct.pack(
+        "<4d", scenario.total_duration, scenario.snapshot_interval,
+        scenario.spinup_q, scenario.spinup_duration,
+    )]
+    for name in EDGES:
+        cond = spec.edge(name)
+        parts.append(f"{name}={cond.kind.value};".encode())
+        if cond.kind is EdgeKind.DISCHARGE:
+            hg = read_hydrograph(scenario.hydrograph_path)
+            for arr in (cond.mask, hg.times, hg.flows):
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                parts.append(struct.pack("<q", arr.size) + arr.tobytes())
+    return b"".join(parts)
+
+
+def _config_digest(params: PhysicalParams, state: State, identity: bytes) -> bytes:
     """Fingerprint of everything a checkpoint must agree with to be resumable."""
     hasher = hashlib.sha256()
     hasher.update(struct.pack(
-        "<8d2q",
+        "<8d3q",
         params.g, params.manning_n, params.h_dry, params.cfl,
         params.dt_min, params.dt_max, state.dx, state.dy,
-        params.space_order, params.time_order,
+        params.space_order, params.time_order, params.friction_full_velocity,
     ))
     hasher.update(struct.pack("<2q2d", state.nrows, state.ncols, state.xll, state.yll))
     hasher.update(np.ascontiguousarray(state.z[INT], dtype="<f8").tobytes())
+    hasher.update(identity)
     return hasher.digest()
 
 
@@ -351,14 +368,16 @@ _HEADER = struct.Struct("<qd2q3dq")  # step, t, nrows, ncols, in, out, V0, fallb
 
 def save_checkpoint(path, state: State, params: PhysicalParams, t: float,
                     step: int, maxima: MaximaMaps, balance: MassBalance,
-                    fallbacks: int) -> None:
+                    fallbacks: int, identity: bytes = b"") -> None:
+    """Write a restart file; ``identity`` (see _scenario_identity) must be
+    passed unchanged to load_checkpoint."""
     fields = (
         state.h[INT], state.hu[INT], state.hv[INT],
         maxima.max_h, maxima.max_speed, maxima.time_of_max_h,
     )
-    with open(path, "wb") as f:
+    with atomic_open(path, binary=True) as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(_config_digest(params, state))
+        f.write(_config_digest(params, state, identity))
         f.write(_HEADER.pack(step, t, state.nrows, state.ncols,
                              balance.inflow, balance.outflow,
                              balance.initial_volume, fallbacks))
@@ -366,17 +385,23 @@ def save_checkpoint(path, state: State, params: PhysicalParams, t: float,
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, state: State, params: PhysicalParams):
+def load_checkpoint(path, state: State, params: PhysicalParams, identity: bytes = b""):
     """Restore fields into ``state``; returns (t, step, maxima, balance, fallbacks)."""
     blob = Path(path).read_bytes()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        if magic[:6] == CHECKPOINT_MAGIC[:6]:
+            raise ConfigError(
+                f"checkpoint {path} has format {magic.decode(errors='replace')}, "
+                f"this version reads {CHECKPOINT_MAGIC.decode()}; rerun to rewrite it"
+            )
         raise ConfigError(f"{path} is not a checkpoint file")
     offset = len(CHECKPOINT_MAGIC)
     digest = blob[offset : offset + 32]
-    if digest != _config_digest(params, state):
+    if digest != _config_digest(params, state, identity):
         raise ConfigError(
             f"checkpoint {path} was written for a different scenario "
-            "(parameters, grid or topography differ)"
+            "(parameters, grid, topography, boundaries, inflow or schedule differ)"
         )
     offset += 32
     step, t, nrows, ncols, inflow, outflow, v0, fallbacks = _HEADER.unpack_from(
@@ -440,7 +465,8 @@ def _write_grid(path: Path, template: RasterGrid, values: np.ndarray,
         yll=template.yll, cellsize=template.cellsize, nodata=template.nodata,
         values=np.asarray(values, dtype=np.float64),
     )
-    path.write_text(write_ascii_grid(grid, precision=precision))
+    with atomic_open(path) as fh:
+        fh.write(write_ascii_grid(grid, precision=precision))
 
 
 def _write_snapshot(outdir: Path, template: RasterGrid, state: State,
@@ -467,6 +493,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     outdir = Path(scenario.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     events, snapshot_times = _event_schedule(scenario)
+    identity = _scenario_identity(scenario, spec)
 
     if checkpoint_time is not None:
         if checkpoint_path is None:
@@ -479,7 +506,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
 
     if restart_path is not None:
         t, step, maxima, balance, fallbacks = load_checkpoint(
-            restart_path, state, params
+            restart_path, state, params, identity
         )
         logger.info("restarted from %s at t = %.6f (step %d)", restart_path, t, step)
     else:
@@ -517,7 +544,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
                 _write_snapshot(outdir, grid, current, t, params)
             if checkpoint_time is not None and t == checkpoint_time:
                 save_checkpoint(checkpoint_path, current, params, t, step,
-                                maxima, balance, fallbacks)
+                                maxima, balance, fallbacks, identity)
                 logger.info("checkpoint written to %s at t = %.6f", checkpoint_path, t)
     except NumericalAbort as exc:
         status = "aborted"
@@ -558,4 +585,5 @@ def _write_summary(outdir: Path, status: str, steps: int, final_t: float,
         f"critical_inflow_fallbacks = {fallbacks}",
         f"blocks = {blocks}",
     ]
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+    with atomic_open(outdir / "summary.txt") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -6,6 +6,14 @@ spatial residual built from MUSCL traces, the hydrostatic interface
 reconstruction and HLLC fluxes plus interface and centered momentum sources,
 then applies the semi-implicit friction update.  Depth stays nonnegative and
 dry cells carry no momentum after every stage.
+
+A stage works only on its active box: the bounding box of the padded cells
+with non-zero h, hu or hv, grown by the stencil radius GHOSTS and clipped to
+the interior.  Every cell outside it keeps its bits, which is exactly what a
+full-grid stage would give: an all-zero stencil yields the residual
+-(0.0 - 0.0)/dx = -0.0 and x + dt*(-0.0) == x for every x, friction leaves
++0.0 momentum on dry cells, and two dry states exchange a +0.0 edge flux.
+A block with an empty box does nothing; a fully wet one runs the whole grid.
 """
 
 from __future__ import annotations
@@ -123,14 +131,6 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams):
     return l_h, l_hu, l_hv, edges
 
 
-def spatial_residual(state: State, params: PhysicalParams):
-    """L(U) for a state whose boundary ghosts are already filled."""
-    l_h, l_hu, l_hv, _ = residual_arrays(
-        state.h, state.hu, state.hv, state.z, state.dx, state.dy, params
-    )
-    return l_h, l_hu, l_hv
-
-
 def max_wave_speed(state: State, params: PhysicalParams) -> float:
     """max(|u| + sqrt(g h), |v| + sqrt(g h)) over wet cells; 0 if all dry.
 
@@ -197,11 +197,12 @@ def friction_step(h_star, q_star, h_n, q_n, dt, params: PhysicalParams, q_mag=No
     return np.where(wet_now, q_star / denom, 0.0)
 
 
-def _check_and_clamp(h, hu, hv, h_dry, context):
+def _check_and_clamp(h, hu, hv, h_dry, context, origin=(0, 0)):
     """Positivity and sanity checks on interior views, mutated in place.
 
     Returns min depth before clamping.  NaN anywhere or depth below the
-    roundoff tolerance aborts.
+    roundoff tolerance aborts; ``origin`` is the interior cell of the views'
+    first element, for the error message.
     """
     if not (np.isfinite(h).all() and np.isfinite(hu).all() and np.isfinite(hv).all()):
         raise NumericalAbort(f"non-finite field values after {context}")
@@ -209,7 +210,8 @@ def _check_and_clamp(h, hu, hv, h_dry, context):
     if min_h < -POSITIVITY_TOL:
         r, c = np.unravel_index(int(np.argmin(h)), h.shape)
         raise NumericalAbort(
-            f"negative depth {min_h:.3e} at cell ({r}, {c}) after {context}"
+            f"negative depth {min_h:.3e} at cell ({origin[0] + r}, {origin[1] + c}) "
+            f"after {context}"
         )
     if min_h < 0.0:
         np.maximum(h, 0.0, out=h)
@@ -219,14 +221,62 @@ def _check_and_clamp(h, hu, hv, h_dry, context):
     return min_h
 
 
+def active_box(state: State):
+    """Interior rows and columns a stage must advance, or None if none.
+
+    The box bounds every padded cell with non-zero h, hu or hv (ghosts
+    included), plus interior cells holding -0.0 momentum, which a stage
+    rewrites to +0.0; it is grown by the stencil radius GHOSTS and clipped to
+    the interior.  Returns half-open interior ranges (r0, r1, c0, c1).
+    """
+    live = (state.h != 0.0) | (state.hu != 0.0) | (state.hv != 0.0)
+    live[INT] |= (np.signbit(state.hu) | np.signbit(state.hv))[INT]
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(live.any(axis=0))
+    # Padded index p is interior index p - GHOSTS; growing the range by
+    # GHOSTS doubles that shift on the low side and cancels it on the high one.
+    r0 = max(int(rows[0]) - 2 * GHOSTS, 0)
+    r1 = min(int(rows[-1]) + 1, state.nrows)
+    c0 = max(int(cols[0]) - 2 * GHOSTS, 0)
+    c1 = min(int(cols[-1]) + 1, state.ncols)
+    return r0, r1, c0, c1
+
+
 def euler_friction_stage(state: State, params: PhysicalParams, dt: float) -> StageFluxes:
-    """Advance the state in place by one Euler hyperbolic substep plus friction."""
-    l_h, l_hu, l_hv, edges = residual_arrays(
-        state.h, state.hu, state.hv, state.z, state.dx, state.dy, params
+    """Advance the state in place by one Euler hyperbolic substep plus friction.
+
+    Only the active box is evaluated; every cell outside it keeps its bits,
+    which the module docstring shows is what a full-grid stage gives.
+    """
+    edges = StageFluxes(
+        west=np.zeros(state.nrows), east=np.zeros(state.nrows),
+        north=np.zeros(state.ncols), south=np.zeros(state.ncols),
     )
-    h_prev = state.h[INT].copy()
-    qx_prev = state.hu[INT].copy()
-    qy_prev = state.hv[INT].copy()
+    box = active_box(state)
+    if box is None:
+        edges.min_h = 0.0
+        return edges
+    r0, r1, c0, c1 = box
+    padded = (slice(r0, r1 + 2 * GHOSTS), slice(c0, c1 + 2 * GHOSTS))
+    l_h, l_hu, l_hv, sub = residual_arrays(
+        state.h[padded], state.hu[padded], state.hv[padded], state.z[padded],
+        state.dx, state.dy, params,
+    )
+    if c0 == 0:
+        edges.west[r0:r1] = sub.west
+    if c1 == state.ncols:
+        edges.east[r0:r1] = sub.east
+    if r0 == 0:
+        edges.north[c0:c1] = sub.north
+    if r1 == state.nrows:
+        edges.south[c0:c1] = sub.south
+
+    inner = (slice(r0 + GHOSTS, r1 + GHOSTS), slice(c0 + GHOSTS, c1 + GHOSTS))
+    h_prev = state.h[inner].copy()
+    qx_prev = state.hu[inner].copy()
+    qy_prev = state.hv[inner].copy()
 
     h_new = h_prev + dt * l_h
     qx_star = qx_prev + dt * l_hu
@@ -238,12 +288,16 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float) -> Sta
     qx_new = friction_step(h_new, qx_star, h_prev, qx_prev, dt, params, q_mag)
     qy_new = friction_step(h_new, qy_star, h_prev, qy_prev, dt, params, q_mag)
 
-    state.h[INT] = h_new
-    state.hu[INT] = qx_new
-    state.hv[INT] = qy_new
+    state.h[inner] = h_new
+    state.hu[inner] = qx_new
+    state.hv[inner] = qy_new
     edges.min_h = _check_and_clamp(
-        state.h[INT], state.hu[INT], state.hv[INT], params.h_dry, "hyperbolic stage"
+        state.h[inner], state.hu[inner], state.hv[inner], params.h_dry,
+        "hyperbolic stage", origin=(r0, c0),
     )
+    if (r1 - r0, c1 - c0) != (state.nrows, state.ncols):
+        # Cells outside the box are dry and hold depth 0.
+        edges.min_h = min(edges.min_h, 0.0)
     return edges
 
 

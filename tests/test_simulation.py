@@ -1,18 +1,24 @@
 """Tests for scenario configuration, the run driver, and checkpointing."""
 
+import builtins
+import errno
 import io
 import math
 
 import numpy as np
 import pytest
 
-from swflood.raster import RasterGrid, load_raster, write_ascii_grid
+from swflood import raster
+from swflood.raster import RasterGrid, atomic_open, load_raster, save_raster, write_ascii_grid
 from swflood.simulation import (
+    CHECKPOINT_MAGIC,
     ConfigError,
     Hydrograph,
     MassBalance,
     MaximaMaps,
     _event_schedule,
+    _write_grid,
+    _write_summary,
     load_checkpoint,
     load_scenario,
     read_hydrograph,
@@ -238,6 +244,23 @@ def test_checkpoint_rejects_other_scenarios(tmp_path):
     bumpy = small_state(seed=41)  # different topography, same shape
     with pytest.raises(ConfigError, match="different scenario"):
         load_checkpoint(path, bumpy, params)
+    coupled = PhysicalParams(manning_n=0.02, friction_full_velocity=True)
+    with pytest.raises(ConfigError, match="different scenario"):
+        load_checkpoint(path, st, coupled)
+    with pytest.raises(ConfigError, match="different scenario"):
+        load_checkpoint(path, st, params, identity=b"another hydrograph")
+
+
+def test_checkpoint_of_an_older_format_names_it(tmp_path):
+    st = small_state()
+    path = tmp_path / "run.chk"
+    save_checkpoint(path, st, PhysicalParams(), 0.0, 0, MaximaMaps.zeros(5, 6),
+                    MassBalance(initial_volume=0.0), 0)
+    blob = path.read_bytes()
+    assert blob.startswith(CHECKPOINT_MAGIC)
+    path.write_bytes(b"SWFCHK01" + blob[len(CHECKPOINT_MAGIC):])
+    with pytest.raises(ConfigError, match="has format SWFCHK01"):
+        load_checkpoint(path, st, PhysicalParams())
 
 
 def test_checkpoint_rejects_corrupt_files(tmp_path):
@@ -365,6 +388,26 @@ def test_run_restart_matches_uninterrupted(tmp_path):
     assert res_c.final_t == res_a.final_t
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("hydro.txt", "5 2.0", "5 2.5"),
+    ("riverbed.txt", "3 0\n4 0\n", "4 0\n5 0\n"),
+    ("scenario.cfg", "spinup_q = 0.5", "spinup_q = 0.6"),
+    ("scenario.cfg", "spinup_duration = 1", "spinup_duration = 1.5"),
+    ("scenario.cfg", "boundary.east = free_outflow", "boundary.east = wall"),
+    ("scenario.cfg", "total_duration = 4", "total_duration = 6"),
+    ("scenario.cfg", "snapshot_interval = 2", "snapshot_interval = 1"),
+])
+def test_run_restart_refuses_a_changed_scenario(tmp_path, name, old, new):
+    cp = tmp_path / "mid.chk"
+    cfg = make_scenario_files(tmp_path, outdir="out_b")
+    run(load_scenario(cfg), checkpoint_time=2.0, checkpoint_path=cp)
+    edited = tmp_path / name
+    assert old in edited.read_text()
+    edited.write_text(edited.read_text().replace(old, new))
+    with pytest.raises(ConfigError, match="different scenario"):
+        run(load_scenario(cfg), restart_path=cp)
+
+
 def test_run_blocked_matches_serial(tmp_path):
     res1 = run(load_scenario(make_scenario_files(tmp_path, outdir="out_1")))
     res2 = run(load_scenario(make_scenario_files(tmp_path, outdir="out_2")), blocks=2)
@@ -392,3 +435,87 @@ def test_run_abort_writes_last_good_state(tmp_path):
     out = sc.output_dir
     assert (out / "h_abort_000000.asc").exists()
     assert summary_dict(out)["status"] == "aborted"
+
+
+# --------------------------------------------------------------------------
+# Atomic outputs
+# --------------------------------------------------------------------------
+
+
+class HalfWriter:
+    """File wrapper that stores half of the first write, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def assert_write_fails_and_keeps(path, write, monkeypatch):
+    """``write`` must raise partway, leaving ``path`` and its directory as they were."""
+    before = path.read_bytes()
+    listing = sorted(path.parent.iterdir())
+    with monkeypatch.context() as m:
+        m.setattr(raster, "open", lambda *a, **k: HalfWriter(builtins.open(*a, **k)),
+                  raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write()
+    assert path.read_bytes() == before
+    assert sorted(path.parent.iterdir()) == listing
+
+
+def test_atomic_open_replaces_only_on_a_clean_exit(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("new, partial")
+            raise RuntimeError("writer failed")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_writes_keep_every_previous_output(tmp_path, monkeypatch):
+    grid = RasterGrid(3, 2, 0.0, 0.0, 1.0, values=np.arange(6.0).reshape(2, 3))
+    other = np.full((2, 3), 7.5)
+
+    asc = tmp_path / "dsm.asc"
+    save_raster(asc, grid)
+    assert_write_fails_and_keeps(asc, lambda: save_raster(asc, RasterGrid(
+        3, 2, 0.0, 0.0, 1.0, values=other)), monkeypatch)
+
+    snap = tmp_path / "h_000002.asc"
+    _write_grid(snap, grid, grid.values)
+    assert_write_fails_and_keeps(snap, lambda: _write_grid(snap, grid, other), monkeypatch)
+
+    balance = MassBalance(initial_volume=1.0, inflow=2.0, final_volume=3.0)
+    _write_summary(tmp_path, "completed", 5, 2.0, balance, 0, 1)
+    assert_write_fails_and_keeps(
+        tmp_path / "summary.txt",
+        lambda: _write_summary(tmp_path, "aborted", 9, 4.0, balance, 1, 2), monkeypatch)
+
+    st = small_state()
+    params = PhysicalParams()
+    chk = tmp_path / "run.chk"
+    save_checkpoint(chk, st, params, 1.0, 3, MaximaMaps.zeros(5, 6),
+                    MassBalance(initial_volume=0.0), 0)
+    st.h[INT] += 1.0
+    assert_write_fails_and_keeps(chk, lambda: save_checkpoint(
+        chk, st, params, 2.0, 6, MaximaMaps.zeros(5, 6),
+        MassBalance(initial_volume=0.0), 0), monkeypatch)
+    fresh = small_state()
+    assert load_checkpoint(chk, fresh, params)[:2] == (1.0, 3)
+    np.testing.assert_array_equal(fresh.h[INT], small_state().h[INT])
