@@ -15,14 +15,16 @@ DEFAULT_H_DRY = 1.0e-10
 
 
 def minmod(x, y):
-    """Slope limiter: min(x, y) if both >= 0, max(x, y) if both <= 0, else 0."""
+    """Slope limiter: min(x, y) if both >= 0, max(x, y) if both <= 0, else 0.
+
+    Both sign tests read off lo = min(x, y) and hi = max(x, y); a NaN makes
+    both fail and gives 0.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return np.where(
-        (x >= 0) & (y >= 0),
-        np.minimum(x, y),
-        np.where((x <= 0) & (y <= 0), np.maximum(x, y), 0.0),
-    )
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    return np.where(lo >= 0, lo, np.where(hi <= 0, hi, 0.0))
 
 
 def muscl_reconstruct(s_prev, s_i, s_next, dx=1.0):
@@ -91,8 +93,32 @@ def physical_flux(h, u, g):
     return q, q * u + (0.5 * g) * (h * h)
 
 
+# The two helpers below free their temporaries on return, so hllc_flux holds
+# fewer arrays at once than a separate HLL pass and contact pass would.
+
+
+def _wave_speeds(h_l, u_l, h_r, u_r, g):
+    """HLL wave speed bounds (c1, c2) of hll_flux."""
+    c_l = np.sqrt(g * h_l)
+    c_r = np.sqrt(g * h_r)
+    return np.minimum(u_l - c_l, u_r - c_r), np.maximum(u_l + c_l, u_r + c_r)
+
+
+def _contact_upwind_left(h_l, u_l, h_r, u_r, c1, c2):
+    """Mask of c* >= 0 for the contact speed c* of hllc_flux.
+
+    Where the denominator vanishes c* = 0, which counts as >= 0.
+    """
+    d_l = u_l - c1
+    d_r = u_r - c2
+    num = c1 * h_r * d_r - c2 * h_l * d_l
+    den = h_r * d_r - h_l * d_l
+    zero = den == 0
+    return zero | (num / np.where(zero, 1.0, den) >= 0)
+
+
 def hll_flux(h_l, u_l, h_r, u_r, g):
-    """Two-wave approximate Riemann flux.
+    """Two-wave approximate Riemann flux: the first two outputs of hllc_flux.
 
     Wave speed bounds:
 
@@ -103,63 +129,51 @@ def hll_flux(h_l, u_l, h_r, u_r, g):
     HLL average applies.  Identical states return the physical flux exactly,
     and two dry states return zero flux.
     """
-    h_l = np.asarray(h_l, dtype=np.float64)
-    u_l = np.asarray(u_l, dtype=np.float64)
-    h_r = np.asarray(h_r, dtype=np.float64)
-    u_r = np.asarray(u_r, dtype=np.float64)
-
-    c_l = np.sqrt(g * h_l)
-    c_r = np.sqrt(g * h_r)
-    c1 = np.minimum(u_l - c_l, u_r - c_r)
-    c2 = np.maximum(u_l + c_l, u_r + c_r)
-
-    fh_l, fhu_l = physical_flux(h_l, u_l, g)
-    fh_r, fhu_r = physical_flux(h_r, u_r, g)
-
-    span = c2 - c1
-    safe = np.where(span > 0, span, 1.0)
-    fh_m = (c2 * fh_l - c1 * fh_r + c1 * c2 * (h_r - h_l)) / safe
-    fhu_m = (c2 * fhu_l - c1 * fhu_r + c1 * c2 * (h_r * u_r - h_l * u_l)) / safe
-
-    same = (h_l == h_r) & (u_l == u_r)
-    dry = (h_l == 0.0) & (h_r == 0.0)
-    fh = np.where(
-        dry, 0.0,
-        np.where(same | (c1 >= 0), fh_l, np.where(c2 <= 0, fh_r, fh_m)),
-    )
-    fhu = np.where(
-        dry, 0.0,
-        np.where(same | (c1 >= 0), fhu_l, np.where(c2 <= 0, fhu_r, fhu_m)),
-    )
+    fh, fhu, _ = hllc_flux(h_l, u_l, 0.0, h_r, u_r, 0.0, g)
     return fh, fhu
 
 
 def hllc_flux(h_l, u_l, v_l, h_r, u_r, v_r, g):
     """HLL flux extended with an upwinded transverse momentum component.
 
-    The transverse flux is f_h * v taken from the side of the contact wave
+    Mass and normal momentum are the HLL flux (see hll_flux).  The
+    transverse flux is f_h * v taken from the side of the contact wave
 
         c* = (c1*h_r*(u_r - c2) - c2*h_l*(u_l - c1))
              / (h_r*(u_r - c2) - h_l*(u_l - c1))
 
-    with c* = 0 when the denominator vanishes.
+    with c* = 0 when the denominator vanishes.  The wave speeds, the
+    discharges q = h*u and the upwind masks are computed once and shared by
+    all three components.
     """
-    fh, fhu = hll_flux(h_l, u_l, h_r, u_r, g)
-
     h_l = np.asarray(h_l, dtype=np.float64)
-    h_r = np.asarray(h_r, dtype=np.float64)
     u_l = np.asarray(u_l, dtype=np.float64)
+    h_r = np.asarray(h_r, dtype=np.float64)
     u_r = np.asarray(u_r, dtype=np.float64)
-    c_l = np.sqrt(g * h_l)
-    c_r = np.sqrt(g * h_r)
-    c1 = np.minimum(u_l - c_l, u_r - c_r)
-    c2 = np.maximum(u_l + c_l, u_r + c_r)
 
-    num = c1 * h_r * (u_r - c2) - c2 * h_l * (u_l - c1)
-    den = h_r * (u_r - c2) - h_l * (u_l - c1)
-    c_star = np.where(den != 0, num / np.where(den != 0, den, 1.0), 0.0)
-    fhv = fh * np.where(c_star >= 0, v_l, v_r)
-    return fh, fhu, fhv
+    c1, c2 = _wave_speeds(h_l, u_l, h_r, u_r, g)
+    upwind_left = _contact_upwind_left(h_l, u_l, h_r, u_r, c1, c2)
+    q_l, fhu_l = physical_flux(h_l, u_l, g)
+    q_r, fhu_r = physical_flux(h_r, u_r, g)
+
+    span = c2 - c1
+    safe = np.where(span > 0, span, 1.0)
+    c12 = c1 * c2
+    # Scalar inputs give numpy scalars here; copyto below needs arrays.
+    fh = np.asarray((c2 * q_l - c1 * q_r + c12 * (h_r - h_l)) / safe)
+    fhu = np.asarray((c2 * fhu_l - c1 * fhu_r + c12 * (q_r - q_l)) / safe)
+
+    # Lowest priority first: right upwind, then left upwind, then dry.
+    right = c2 <= 0
+    np.copyto(fh, q_r, where=right)
+    np.copyto(fhu, fhu_r, where=right)
+    left = ((h_l == h_r) & (u_l == u_r)) | (c1 >= 0)
+    np.copyto(fh, q_l, where=left)
+    np.copyto(fhu, fhu_l, where=left)
+    dry = (h_l == 0.0) & (h_r == 0.0)
+    np.copyto(fh, 0.0, where=dry)
+    np.copyto(fhu, 0.0, where=dry)
+    return fh, fhu, fh * np.where(upwind_left, v_l, v_r)
 
 
 def interface_sources(h_minus, h_plus, h_left, h_right, g):

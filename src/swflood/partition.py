@@ -152,7 +152,10 @@ class BlockEngine:
     block that is dry with a dry halo costs a few reductions per stage and a
     dry block wets as soon as water reaches its halo.  Cells outside a box
     are left as they are, which is bitwise what evaluating them would give:
-    their residual is -0.0 and their momentum is already +0.0.
+    their residual is -0.0 and their momentum is already +0.0.  Within its
+    box a block is evaluated in cache-sized row strips (see the solver
+    module docstring); the kernels are elementwise, so the strips give the
+    same bits as one pass over the box, for any block count.
     """
 
     def __init__(self, state: State, params: PhysicalParams, spec: BoundarySpec,

@@ -110,10 +110,15 @@ def read_ascii_grid(source) -> RasterGrid:
         except ValueError:
             raise RasterParseError(f"non-numeric header value in line {line.strip()!r}") from None
 
+    for key in ("ncols", "nrows"):
+        value = header[key]
+        # NaN fails the comparison; the finiteness test keeps int() off inf.
+        if not (value >= 1 and np.isfinite(value) and value == int(value)):
+            raise RasterParseError(
+                f"ncols/nrows must be finite positive integers, got {key} {value:g}"
+            )
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    if ncols != header["ncols"] or nrows != header["nrows"]:
-        raise RasterParseError("ncols/nrows must be integers")
     cellsize = header["cellsize"]
     if not cellsize > 0:
         raise RasterParseError(f"cellsize must be positive, got {cellsize}")
@@ -129,7 +134,10 @@ def read_ascii_grid(source) -> RasterGrid:
         yll = header["yllcorner"]
     nodata = header["nodata_value"]
 
-    values = np.empty((nrows, ncols), dtype=np.float64)
+    try:
+        values = np.empty((nrows, ncols), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise RasterParseError(f"a {nrows}x{ncols} grid is too large to hold") from None
     row = 0
     for line in source:
         tokens = line.split()

@@ -1,5 +1,10 @@
 """Tests for the command-line interface: parsing, exit codes, workflows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -184,6 +189,30 @@ def test_build_dsm_bad_features_exits_one(tmp_path):
                  "--features", str(tmp_path / "features.txt"),
                  "--classes", str(tmp_path / "classes.txt"),
                  "--out", str(tmp_path / "d.asc")]) == 1
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "-3"])
+def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad):
+    dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.zeros((4, 4)))
+    text = write_ascii_grid(dtm).replace("ncols 4\n", f"ncols {bad}\n")
+    (tmp_path / "dtm.asc").write_text(text)
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
+    (tmp_path / "classes.txt").write_text("10\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swflood.cli", "build-dsm",
+         "--dtm", str(tmp_path / "dtm.asc"),
+         "--features", str(tmp_path / "features.txt"),
+         "--classes", str(tmp_path / "classes.txt"),
+         "--out", str(tmp_path / "d.asc")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert f"ncols/nrows must be finite positive integers, got ncols {bad}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.asc").exists()
 
 
 def test_validate_workflow_stdout_and_file(tmp_path, capsys):

@@ -87,6 +87,24 @@ def test_read_rejects_malformed_input(mangle, fragment):
         read_ascii_grid(mangle(SMALL))
 
 
+@pytest.mark.parametrize("key", ["ncols", "nrows"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "-3", "0", "2.5"])
+def test_read_rejects_a_dimension_that_is_not_a_positive_integer(key, bad):
+    text = SMALL.replace(f"{key} {3 if key == 'ncols' else 2}\n", f"{key} {bad}\n")
+    assert text != SMALL
+    with pytest.raises(RasterParseError, match=f"got {key} {bad}$"):
+        read_ascii_grid(text)
+
+
+@pytest.mark.parametrize("nrows", ["100000000", "10000000000000"])
+def test_read_rejects_a_header_grid_too_large_to_hold(nrows):
+    # 728 TiB exceeds any user address space; the second size overflows
+    # numpy's array size limit.
+    text = SMALL.replace("ncols 3\n", "ncols 1000000\n").replace("nrows 2\n", f"nrows {nrows}\n")
+    with pytest.raises(RasterParseError, match=f"{nrows}x1000000"):
+        read_ascii_grid(text)
+
+
 # --------------------------------------------------------------------------
 # Writing and round-trips
 # --------------------------------------------------------------------------

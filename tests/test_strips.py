@@ -1,0 +1,149 @@
+"""Pins of the row-strip evaluation of the Euler-plus-friction stage.
+
+A stage evaluates its active box in strips of rows sized to stay in cache.
+Every kernel is elementwise, so a strip gives the same bits as the whole box.
+The digests below were recorded with a solver that evaluated each stage on
+the whole box at once; the strips must reproduce them bitwise for any tiling
+and for both friction couplings.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from swflood import solver
+from swflood.boundary import BoundarySpec, free_outflow, wall
+from swflood.partition import BlockEngine
+from swflood.solver import NumericalAbort, euler_friction_stage, rk2_step
+from swflood.state import INT, PhysicalParams, State
+
+STEPS = 12
+# Three strips of 128, 128 and 44 rows on one block, two strips per block on
+# two blocks (checked by test_the_cases_span_several_strips).
+SHAPE = (300, 124)
+
+
+def dam_with_dry_band():
+    """Wet dam break on a rough bed, tall enough for several strips.
+
+    A dry band crosses the grid, and the first strip seam, between the two
+    pools.  The north, south and east edges are open, so the edge fluxes of
+    the first and last strip and of every strip's ends feed the boundary
+    volumes.
+    """
+    rng = np.random.default_rng(41)
+    z = rng.uniform(0.0, 0.02, size=SHAPE)
+    st = State(*SHAPE, 1.0, 1.0, z)
+    h = st.h[INT]
+    h[:90] = 0.4
+    h[90:] = 0.1
+    h[122:134] = 0.0
+    st.hu[INT][:] = np.where(h > 0, rng.uniform(-0.02, 0.02, size=h.shape), 0.0)
+    st.hv[INT][:] = np.where(h > 0, rng.uniform(-0.02, 0.02, size=h.shape), 0.0)
+    return st, BoundarySpec(free_outflow(), free_outflow(), free_outflow(), wall())
+
+
+DIGESTS = {  # after STEPS steps, recorded before the stage was evaluated in strips
+    False: "719adf9e675869bd9995c3b4209c75f4ea5900d65d62df3b9fa29c34ac888f25",
+    True: "f754d89c08ae6c34facc7821e5a6637b98c980d4fbb138b3e27321eaa2f7a3e9",
+}
+
+
+def digest(state, t, inflow, outflow):
+    hasher = hashlib.sha256()
+    for arr in (state.h[INT], state.hu[INT], state.hv[INT]):
+        hasher.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    hasher.update(np.array([t, inflow, outflow], dtype="<f8").tobytes())
+    return hasher.hexdigest()
+
+
+def params(full_velocity):
+    return PhysicalParams(manning_n=0.03, friction_full_velocity=full_velocity)
+
+
+def run(full_velocity, nblocks):
+    state, spec = dam_with_dry_band()
+    prm = params(full_velocity)
+    t = inflow = outflow = 0.0
+    if nblocks == 0:
+        for _ in range(STEPS):
+            d = rk2_step(state, prm, spec, t)
+            t += d.dt
+            inflow += d.inflow_volume
+            outflow += d.outflow_volume
+        return digest(state, t, inflow, outflow)
+    with BlockEngine(state, prm, spec, nblocks=nblocks) as eng:
+        for _ in range(STEPS):
+            d = eng.step(t)
+            t += d.dt
+            inflow += d.inflow_volume
+            outflow += d.outflow_volume
+        return digest(eng.gather(), t, inflow, outflow)
+
+
+def test_the_cases_span_several_strips():
+    # The stage's box is the whole grid here: every cell is live.
+    nrows, ncols = SHAPE
+    width = ncols + 4
+    assert solver._strips(nrows, width) == [(0, 128), (128, 256), (256, 300)]
+    assert solver._strips(nrows // 2, width) == [(0, 128), (128, 150)]
+
+
+@pytest.mark.parametrize("nblocks", [0, 1, 2, 4], ids=["serial", "1blk", "2blk", "4blk"])
+@pytest.mark.parametrize("full_velocity", [False, True], ids=["per_component", "full_velocity"])
+def test_strip_stage_reproduces_the_whole_box_digest(full_velocity, nblocks):
+    assert run(full_velocity, nblocks) == DIGESTS[full_velocity]
+
+
+def fake_residual(l_h):
+    """A residual_arrays stand-in that returns ``l_h`` and zero momentum terms."""
+
+    def residual(h, hu, hv, z, dx, dy, prm):
+        rows, cols = l_h.shape
+        edges = solver.StageFluxes(west=np.zeros(rows), east=np.zeros(rows),
+                                   north=np.zeros(cols), south=np.zeros(cols))
+        return l_h.copy(), np.zeros_like(l_h), np.zeros_like(l_h), edges
+
+    return residual
+
+
+ABORTS = {  # recorded with the whole-box stage
+    "later_strip_deeper": "negative depth -1.000e-01 at cell (200, 7) after hyperbolic stage",
+    "tie_across_strips": "negative depth -1.000e-05 at cell (20, 5) after hyperbolic stage",
+    "nan_after_negative": "non-finite field values after hyperbolic stage",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABORTS))
+def test_a_bad_cell_in_a_later_strip_aborts_with_the_whole_box_message(case, monkeypatch):
+    st = State(*SHAPE, 1.0, 1.0, np.zeros(SHAPE))
+    st.h[INT][:] = 0.1
+    l_h = np.zeros(SHAPE)
+    l_h[20, 5] = -0.10001
+    if case == "later_strip_deeper":
+        l_h[200, 7] = -0.2
+    elif case == "tie_across_strips":
+        l_h[290, 1] = -0.10001
+    else:
+        l_h[280, 40] = np.nan
+    monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
+    with pytest.raises(NumericalAbort) as info:
+        euler_friction_stage(st, params(False), 1.0)
+    assert str(info.value) == ABORTS[case]
+
+
+def test_a_roundoff_clamp_in_one_strip_clamps_the_whole_box(monkeypatch):
+    # The whole-box clamp runs np.maximum(h, 0) over every cell once any depth
+    # is slightly negative, which turns -0.0 depths in other strips into +0.0.
+    st = State(*SHAPE, 1.0, 1.0, np.zeros(SHAPE))
+    st.h[INT][:] = 0.1
+    st.h[INT][290, 3] = -0.0
+    l_h = np.zeros(SHAPE)
+    l_h[20, 5] = -0.1 - 5e-13
+    l_h[290, 3] = -0.0
+    monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
+    edges = euler_friction_stage(st, params(False), 1.0)
+    assert -1e-12 < edges.min_h < 0.0
+    assert st.h[INT][20, 5] == 0.0 and not np.signbit(st.h[INT][20, 5])
+    assert st.h[INT][290, 3] == 0.0 and not np.signbit(st.h[INT][290, 3])
