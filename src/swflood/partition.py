@@ -2,8 +2,9 @@
 
 The grid is tiled into nblocks rectangular blocks (sizes differing by at
 most one cell per axis) choosing the factorization that minimizes halo
-perimeter.  Blocks advance through the same stage kernels as the serial
-solver, exchanging two-deep halos between stages; the stepped fields are
+perimeter.  BlockEngine.step is the package's one time step: the serial
+solver.rk2_step is a one-block step, which advances the given state in place.
+Blocks exchange two-deep halos between stages; the stepped fields are
 bitwise identical for any block count.  Reductions use exact min/max and a
 fixed-topology pairwise sum so results do not depend on worker count.
 """
@@ -145,9 +146,11 @@ def _block_boundary(spec: BoundarySpec, part: Partition, bi: int, bj: int,
 class BlockEngine:
     """Drives rk2 stepping over a partitioned state with halo exchange.
 
-    With one block this reproduces the serial solver bitwise; with more
-    blocks each stage runs per block on a worker pool with barriers at the
-    halo exchanges.  Each block advances only its own active box (see
+    With one block the engine steps the given state in place, with no copy
+    and no worker pool; solver.rk2_step is that step.  With more blocks each
+    block steps its own copy of its part of the state, each stage runs per
+    block on a worker pool with barriers at the halo exchanges, and gather
+    assembles the result.  Each block advances only its own active box (see
     solver.active_box), found after the halo exchange and ghost fill, so a
     block that is dry with a dry halo costs a few reductions per stage and a
     dry block wets as soon as water reaches its halo.  Cells outside a box
@@ -159,7 +162,7 @@ class BlockEngine:
     """
 
     def __init__(self, state: State, params: PhysicalParams, spec: BoundarySpec,
-                 nblocks: int = 1, max_workers: int | None = None):
+                 nblocks: int = 1):
         self.params = params
         self.template = state
         self.partition = make_partition(state.nrows, state.ncols, nblocks)
@@ -167,8 +170,20 @@ class BlockEngine:
 
         self.locals: list[State] = []
         self.specs: list[BoundarySpec] = []
+        self._edge_weights = []
         for bi in range(part.brows):
             for bj in range(part.bcols):
+                self._edge_weights.append(
+                    dict(
+                        north=bi == 0, south=bi == part.brows - 1,
+                        west=bj == 0, east=bj == part.bcols - 1,
+                    )
+                )
+                if nblocks == 1:
+                    # The one block is the caller's state, stepped in place.
+                    self.locals.append(state)
+                    self.specs.append(spec)
+                    continue
                 blk = part.blocks[part.index(bi, bj)]
                 sub = State(
                     blk.row1 - blk.row0, blk.col1 - blk.col0, state.dx, state.dy,
@@ -182,17 +197,8 @@ class BlockEngine:
 
         # Static topography halos; global-edge z ghosts are refilled per stage.
         self._exchange(["z"])
-        workers = max_workers or min(len(self.locals), os.cpu_count() or 1)
-        self._pool = ThreadPoolExecutor(max_workers=workers) if len(self.locals) > 1 else None
-        self._edge_weights = []
-        for bi in range(part.brows):
-            for bj in range(part.bcols):
-                self._edge_weights.append(
-                    dict(
-                        north=bi == 0, south=bi == part.brows - 1,
-                        west=bj == 0, east=bj == part.bcols - 1,
-                    )
-                )
+        self._pool = (ThreadPoolExecutor(max_workers=min(nblocks, os.cpu_count() or 1))
+                      if nblocks > 1 else None)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -250,7 +256,7 @@ class BlockEngine:
 
         results = self._map(one, self.locals, self.specs, self._edge_weights)
         # Stitch per-block edge segments back into the global interface lines
-        # so the volume sums reduce over the same arrays as the serial step.
+        # so the volume sums reduce over the same arrays for any block count.
         merged = StageFluxes()
         spans = {"west": self.template.nrows, "east": self.template.nrows,
                  "north": self.template.ncols, "south": self.template.ncols}
@@ -275,7 +281,7 @@ class BlockEngine:
 
         Ghost values are pure functions of the owned interior and t, so the
         stage fills recompute them bitwise identically; fallbacks counted
-        here are discarded to keep diagnostics matching the serial step.
+        here are discarded, since the first stage fill counts them again.
         """
         self._exchange(["h", "hu", "hv"])
 
@@ -292,11 +298,11 @@ class BlockEngine:
         )
 
     def step(self, t: float, dt: float | None = None) -> StepDiagnostics:
-        """One rk2 step over all blocks; matches the serial step bitwise.
+        """One Heun step over all blocks, or one Euler stage if time_order = 1.
 
         Each stage exchanges halos, refills boundary ghosts, then advances
-        every block through the same Euler-plus-friction kernel the serial
-        solver uses.
+        every block through solver.euler_friction_stage.  The ghosts left
+        behind are those of the last stage fill.
         """
         params = self.params
         speed = self._fill_and_speed(t)
@@ -323,7 +329,7 @@ class BlockEngine:
         return diag
 
     def gather(self) -> State:
-        """Assemble the current global state (a copy)."""
+        """Assemble the current global state; a copy even with one block."""
         out = self.template.copy()
         part = self.partition
         for blk, sub in zip(part.blocks, self.locals):

@@ -5,7 +5,9 @@ One step runs a two-stage Heun (TVD-RK2) update.  Each stage evaluates the
 spatial residual built from MUSCL traces, the hydrostatic interface
 reconstruction and HLLC fluxes plus interface and centered momentum sources,
 then applies the semi-implicit friction update.  Depth stays nonnegative and
-dry cells carry no momentum after every stage.
+dry cells carry no momentum after every stage.  This module holds the stage;
+the step sequence lives once, in partition.BlockEngine.step, and rk2_step is
+that step on one block, which advances the given state in place.
 
 A stage works only on its active box: the bounding box of the padded cells
 with non-zero h, hu or hv, grown by the stencil radius GHOSTS and clipped to
@@ -376,39 +378,12 @@ def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,
 
 def rk2_step(state: State, params: PhysicalParams, boundary_spec, t: float,
              dt: float | None = None) -> StepDiagnostics:
-    """One full time step; boundaries are re-applied before each residual.
+    """One full time step of ``state``, in place: a one-block BlockEngine step.
 
-    A flat lake at rest is a bitwise fixed point.  With ``time_order = 1`` a
-    single Euler stage runs instead of the Heun pair.
+    Boundaries are re-applied before each residual.  A flat lake at rest is a
+    bitwise fixed point.  With ``time_order = 1`` a single Euler stage runs
+    instead of the Heun pair.
     """
-    from .boundary import apply_boundaries
+    from .partition import BlockEngine  # partition imports this module
 
-    fallbacks = apply_boundaries(state, boundary_spec, t, params)
-    speed = max_wave_speed(state, params)
-    if dt is None:
-        dt = dt_from_wave_speed(speed, state.dx, state.dy, params)
-    diag = StepDiagnostics(dt=dt, max_wave_speed=speed, min_h=np.inf,
-                           critical_inflow_fallbacks=fallbacks)
-
-    if params.time_order == 1:
-        edges = euler_friction_stage(state, params, dt)
-        diag.min_h = min(diag.min_h, edges.min_h)
-        accumulate_edge_volumes(diag, edges, state.dx, state.dy, dt)
-        return diag
-
-    h_n = state.h[INT].copy()
-    hu_n = state.hu[INT].copy()
-    hv_n = state.hv[INT].copy()
-
-    edges = euler_friction_stage(state, params, dt)
-    diag.min_h = min(diag.min_h, edges.min_h)
-    accumulate_edge_volumes(diag, edges, state.dx, state.dy, 0.5 * dt)
-
-    diag.critical_inflow_fallbacks += apply_boundaries(state, boundary_spec, t + dt, params)
-    edges = euler_friction_stage(state, params, dt)
-    diag.min_h = min(diag.min_h, edges.min_h)
-    accumulate_edge_volumes(diag, edges, state.dx, state.dy, 0.5 * dt)
-
-    combine_heun(state, h_n, hu_n, hv_n, params)
-    diag.min_h = min(diag.min_h, float(state.h[INT].min()))
-    return diag
+    return BlockEngine(state, params, boundary_spec).step(t, dt)

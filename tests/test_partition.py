@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swflood import partition
 from swflood.boundary import BoundarySpec, EdgeKind, discharge, free_outflow, wall
 from swflood.partition import (
     Block,
@@ -227,3 +228,20 @@ def test_engine_compute_dt_matches_serial():
         dt_blocked = eng.compute_dt(0.0)
     apply_boundaries(st, spec, 0.0, PARAMS)
     assert dt_blocked == compute_dt(st, PARAMS)
+
+
+def test_one_block_engine_steps_the_given_state_in_place(monkeypatch):
+    def no_cpu_count():
+        raise AssertionError("a one-block engine sized a worker pool")
+
+    monkeypatch.setattr(partition.os, "cpu_count", no_cpu_count)
+    st = random_wet_state(9, 7, seed=27)
+    before = st.h.copy()
+    with BlockEngine(st, PARAMS, BoundarySpec.walls()) as eng:
+        eng.step(0.0)
+        out = eng.gather()
+    assert not np.array_equal(st.h[INT], before[INT])
+    for name in ("h", "hu", "hv"):
+        np.testing.assert_array_equal(getattr(out, name)[INT], getattr(st, name)[INT])
+    for name in ("h", "hu", "hv", "z", "wall_mask"):
+        assert not np.shares_memory(getattr(out, name), getattr(st, name)), name

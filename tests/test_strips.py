@@ -4,7 +4,9 @@ A stage evaluates its active box in strips of rows sized to stay in cache.
 Every kernel is elementwise, so a strip gives the same bits as the whole box.
 The digests below were recorded with a solver that evaluated each stage on
 the whole box at once; the strips must reproduce them bitwise for any tiling
-and for both friction couplings.
+and for both friction couplings.  The first-order-in-time and
+first-order-in-space digests pin the serial rk2_step and the engine at 1, 2
+and 4 blocks to one step sequence.
 """
 
 import hashlib
@@ -45,8 +47,17 @@ def dam_with_dry_band():
 
 
 DIGESTS = {  # after STEPS steps, recorded before the stage was evaluated in strips
-    False: "719adf9e675869bd9995c3b4209c75f4ea5900d65d62df3b9fa29c34ac888f25",
-    True: "f754d89c08ae6c34facc7821e5a6637b98c980d4fbb138b3e27321eaa2f7a3e9",
+    "per_component": "719adf9e675869bd9995c3b4209c75f4ea5900d65d62df3b9fa29c34ac888f25",
+    "full_velocity": "f754d89c08ae6c34facc7821e5a6637b98c980d4fbb138b3e27321eaa2f7a3e9",
+    # recorded while rk2_step still carried its own copy of the step sequence
+    "time_order_1": "5283139935617c253b62379a6480d31c8e1a5ca9a3bf0aea2ef97421223f570b",
+    "space_order_1": "69241b0d86efa895e8b8f3fbb9ec79eb708c891ae9ab03a704e9e76fb25aec5a",
+}
+VARIANTS = {  # PhysicalParams overrides on top of Manning 0.03
+    "per_component": {},
+    "full_velocity": {"friction_full_velocity": True},
+    "time_order_1": {"time_order": 1},
+    "space_order_1": {"space_order": 1},
 }
 
 
@@ -58,13 +69,13 @@ def digest(state, t, inflow, outflow):
     return hasher.hexdigest()
 
 
-def params(full_velocity):
-    return PhysicalParams(manning_n=0.03, friction_full_velocity=full_velocity)
+def params(variant="per_component"):
+    return PhysicalParams(manning_n=0.03, **VARIANTS[variant])
 
 
-def run(full_velocity, nblocks):
+def run(variant, nblocks):
     state, spec = dam_with_dry_band()
-    prm = params(full_velocity)
+    prm = params(variant)
     t = inflow = outflow = 0.0
     if nblocks == 0:
         for _ in range(STEPS):
@@ -91,9 +102,9 @@ def test_the_cases_span_several_strips():
 
 
 @pytest.mark.parametrize("nblocks", [0, 1, 2, 4], ids=["serial", "1blk", "2blk", "4blk"])
-@pytest.mark.parametrize("full_velocity", [False, True], ids=["per_component", "full_velocity"])
-def test_strip_stage_reproduces_the_whole_box_digest(full_velocity, nblocks):
-    assert run(full_velocity, nblocks) == DIGESTS[full_velocity]
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_strip_stage_reproduces_the_whole_box_digest(variant, nblocks):
+    assert run(variant, nblocks) == DIGESTS[variant]
 
 
 def fake_residual(l_h):
@@ -129,7 +140,7 @@ def test_a_bad_cell_in_a_later_strip_aborts_with_the_whole_box_message(case, mon
         l_h[280, 40] = np.nan
     monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
     with pytest.raises(NumericalAbort) as info:
-        euler_friction_stage(st, params(False), 1.0)
+        euler_friction_stage(st, params(), 1.0)
     assert str(info.value) == ABORTS[case]
 
 
@@ -143,7 +154,7 @@ def test_a_roundoff_clamp_in_one_strip_clamps_the_whole_box(monkeypatch):
     l_h[20, 5] = -0.1 - 5e-13
     l_h[290, 3] = -0.0
     monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
-    edges = euler_friction_stage(st, params(False), 1.0)
+    edges = euler_friction_stage(st, params(), 1.0)
     assert -1e-12 < edges.min_h < 0.0
     assert st.h[INT][20, 5] == 0.0 and not np.signbit(st.h[INT][20, 5])
     assert st.h[INT][290, 3] == 0.0 and not np.signbit(st.h[INT][290, 3])
