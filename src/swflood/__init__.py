@@ -37,7 +37,7 @@ from .features import (
     read_class_selection,
     select_classes,
 )
-from .partition import BlockEngine, Partition, global_reduce, make_partition
+from .partition import BlockEngine
 from .raster import (
     RasterGrid,
     RasterParseError,
@@ -86,7 +86,6 @@ __all__ = [
     "MassBalance",
     "MaximaMaps",
     "NumericalAbort",
-    "Partition",
     "PhysicalParams",
     "RasterGrid",
     "RasterParseError",
@@ -105,12 +104,10 @@ __all__ = [
     "extrude",
     "free_outflow",
     "friction_step",
-    "global_reduce",
     "lake_at_rest_case",
     "load_checkpoint",
     "load_raster",
     "load_scenario",
-    "make_partition",
     "parse_features",
     "rasterize_feature",
     "read_ascii_grid",

@@ -38,8 +38,6 @@ class EdgeCondition:
     discharge: Callable[[float], float] | None = None
     # Sorted along-edge interior indices receiving the inflow; DISCHARGE only.
     mask: np.ndarray | None = None
-    # Global masked-cell count; differs from len(mask) on partitioned blocks.
-    mask_total: int | None = None
 
     def __post_init__(self):
         if self.kind is EdgeKind.DISCHARGE:
@@ -48,8 +46,6 @@ class EdgeCondition:
             if self.mask is None or len(self.mask) == 0:
                 raise ValueError("DISCHARGE edge needs a non-empty riverbed mask")
             self.mask = np.unique(np.asarray(self.mask, dtype=np.int64))
-            if self.mask_total is None:
-                self.mask_total = len(self.mask)
         elif self.discharge is not None or self.mask is not None:
             raise ValueError(f"{self.kind.value} edge takes no discharge or mask")
 
@@ -68,18 +64,18 @@ def discharge(q_of_t: Callable[[float], float], mask) -> EdgeCondition:
 
 @dataclass
 class BoundarySpec:
-    """One condition per edge; None marks edges owned by a neighboring block."""
+    """One condition per edge."""
 
-    north: EdgeCondition | None
-    south: EdgeCondition | None
-    east: EdgeCondition | None
-    west: EdgeCondition | None
+    north: EdgeCondition
+    south: EdgeCondition
+    east: EdgeCondition
+    west: EdgeCondition
 
     @classmethod
     def walls(cls) -> "BoundarySpec":
         return cls(wall(), wall(), wall(), wall())
 
-    def edge(self, name: str) -> EdgeCondition | None:
+    def edge(self, name: str) -> EdgeCondition:
         return getattr(self, name)
 
 
@@ -191,7 +187,7 @@ def _fill_edge(state: State, edge: str, cond: EdgeCondition, t: float,
     q_total = cond.discharge(t)
     if q_total < 0:
         raise ValueError(f"negative discharge {q_total} at t = {t}")
-    q_b = q_total / (cond.mask_total * width)
+    q_b = q_total / (len(cond.mask) * width)
 
     fallbacks = 0
     for idx in cond.mask:
@@ -210,15 +206,10 @@ def _fill_edge(state: State, edge: str, cond: EdgeCondition, t: float,
 
 def apply_boundaries(state: State, spec: BoundarySpec, t: float,
                      params: PhysicalParams) -> int:
-    """Refill all ghost layers for time t; returns critical-fallback count.
-
-    Edges set to None (block-internal seams) are left to halo exchange.
-    """
+    """Refill all ghost layers for time t; returns critical-fallback count."""
     fallbacks = 0
     for edge in EDGES:
-        cond = spec.edge(edge)
-        if cond is not None:
-            fallbacks += _fill_edge(state, edge, cond, t, params)
+        fallbacks += _fill_edge(state, edge, spec.edge(edge), t, params)
     return fallbacks
 
 

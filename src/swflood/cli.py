@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
     r = sub.add_parser("run", help="run a flood scenario")
     r.add_argument("--config", required=True, type=Path, help="scenario config file")
     r.add_argument("--blocks", type=int, default=None,
-                   help=f"parallel block count (overrides ${ENV_BLOCKS})")
+                   help="worker threads over the row strips of each stage; "
+                        f"results do not depend on it (overrides ${ENV_BLOCKS})")
 
     v = sub.add_parser("validate", help="compare the solver against exact solutions")
     v.add_argument("--case", required=True, choices=sorted(validation.CASES))

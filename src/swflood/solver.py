@@ -7,7 +7,7 @@ reconstruction and HLLC fluxes plus interface and centered momentum sources,
 then applies the semi-implicit friction update.  Depth stays nonnegative and
 dry cells carry no momentum after every stage.  This module holds the stage;
 the step sequence lives once, in partition.BlockEngine.step, and rk2_step is
-that step on one block, which advances the given state in place.
+that step on one thread, which advances the given state in place.
 
 A stage works only on its active box: the bounding box of the padded cells
 with non-zero h, hu or hv, grown by the stencil radius GHOSTS and clipped to
@@ -15,18 +15,24 @@ the interior.  Every cell outside it keeps its bits, which is exactly what a
 full-grid stage would give: an all-zero stencil yields the residual
 -(0.0 - 0.0)/dx = -0.0 and x + dt*(-0.0) == x for every x, friction leaves
 +0.0 momentum on dry cells, and two dry states exchange a +0.0 edge flux.
-A block with an empty box does nothing; a fully wet one runs the whole grid.
+A state with an empty box does nothing; a fully wet one runs the whole grid.
 
 The box is evaluated in strips of rows holding about _STRIP_CELLS padded
-cells each, so every temporary stays in cache.  residual_arrays hands each
-strip's rows plus their two halo rows on either side to both sweeps and
-writes the result into whole-box outputs; the stage then runs the update,
-friction and the dry-momentum reset strip by strip.  This is bitwise exact:
-every kernel is elementwise, a strip reads the same stencil values a
-whole-box pass reads, and no reduction crosses a strip except the depth
-check.  That check keeps its whole-box form: a non-finite value anywhere
-aborts first, a too-negative depth aborts naming the first cell holding the
-box minimum, and a roundoff-negative minimum clamps the whole box.
+cells each, so every temporary stays in cache.  A stage runs two phases,
+each a task per strip passed to an order-preserving ``map``: the builtin
+map, or a thread pool's map that runs the strips in parallel.  In phase 1,
+residual_arrays hands each strip's rows plus their two halo rows on either
+side to both sweeps and writes the result into whole-box outputs; phase 2
+runs the update, friction and the dry-momentum reset of each strip.  Phase 1
+only reads the state and phase 2 writes disjoint rows, so the strips of a
+phase may run in any order.  This is bitwise exact: every kernel is
+elementwise, a strip reads the same stencil values a whole-box pass reads,
+and the per-strip results (edge flux lines, minimum depths, the first
+failure) are reduced in strip order once every task of the phase has
+returned.  The depth check keeps its whole-box form: a non-finite value
+anywhere aborts first, a too-negative depth aborts naming the first cell
+holding the box minimum, and a roundoff-negative minimum clamps the whole
+box.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ POSITIVITY_TOL = 1.0e-12
 # A stage is evaluated in strips of rows holding about this many padded
 # cells, so every temporary of a strip (128 KiB) stays in L2 and comes from
 # the allocator's free lists rather than fresh pages.  Smaller strips run no
-# faster on one block and scale worse on several: each numpy call then hands
-# the GIL between the block threads after only a few microseconds of work.
+# faster on one thread and scale worse on several: each numpy call then hands
+# the GIL between the worker threads after only a few microseconds of work.
 _STRIP_CELLS = 16384
 
 
@@ -79,6 +85,27 @@ def _strips(nrows: int, width: int):
     """Half-open row ranges of about _STRIP_CELLS cells of ``width`` columns."""
     step = max(1, _STRIP_CELLS // width)
     return [(r, min(r + step, nrows)) for r in range(0, nrows, step)]
+
+
+def _run_strips(map, fn, strips):
+    """[fn(r0, r1) for each strip] through the order-preserving ``map``.
+
+    A task that raises hands its exception back instead, so the first one in
+    strip order is raised only after every task has returned and no strip
+    is still writing to the state.
+    """
+
+    def task(strip):
+        try:
+            return fn(*strip), None
+        except Exception as exc:
+            return None, exc
+
+    results = list(map(task, strips))
+    for _, exc in results:
+        if exc is not None:
+            raise exc
+    return [out for out, _ in results]
 
 
 def _axis_residual(h, un, ut, z, dx, g, h_dry, order):
@@ -131,14 +158,14 @@ def _axis_residual(h, un, ut, z, dx, g, h_dry, order):
     return l_h, l_qn, l_qt, fh[:, 0], fh[:, -1]
 
 
-def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams):
+def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     """L(U) on the interior of padded arrays; ghosts must be current.
 
     Returns (Lh, Lhu, Lhv, edges) where edges holds the mass flux lines at
     the four domain-edge interfaces (west/east signed along +x, north/south
     along +row, i.e. positive means southward).  The interior is evaluated
-    in row strips (see the module docstring); the velocities are computed
-    once for both sweeps.
+    in row strips, one ``map`` task each (see the module docstring); the
+    velocities are computed once for both sweeps.
     """
     nr = h.shape[0] - 2 * GHOSTS
     nc = h.shape[1] - 2 * GHOSTS
@@ -151,7 +178,8 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams):
     l_hu = np.empty((nr, nc))
     l_hv = np.empty((nr, nc))
     edges = StageFluxes(west=np.empty(nr), east=np.empty(nr))
-    for r0, r1 in _strips(nr, h.shape[1]):
+
+    def strip(r0, r1):
         mid = slice(r0 + GHOSTS, r1 + GHOSTS)
         xh, xqn, xqt, edges.west[r0:r1], edges.east[r0:r1] = _axis_residual(
             h[mid], u[mid], v[mid], z[mid], dx, g, h_dry, order,
@@ -162,12 +190,14 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams):
             h[pad, cols].T, v[pad, cols].T, u[pad, cols].T, z[pad, cols].T,
             dy, g, h_dry, order,
         )
-        if r0 == 0:
-            edges.north = fh_n
         np.add(xh, yh.T, out=l_h[r0:r1])
         np.add(xqn, yqt.T, out=l_hu[r0:r1])
         np.add(xqt, yqn.T, out=l_hv[r0:r1])
-    edges.south = fh_s
+        return fh_n, fh_s
+
+    lines = _run_strips(map, strip, _strips(nr, h.shape[1]))
+    edges.north = lines[0][0]
+    edges.south = lines[-1][1]
     return l_h, l_hu, l_hv, edges
 
 
@@ -290,11 +320,13 @@ def active_box(state: State):
     return r0, r1, c0, c1
 
 
-def euler_friction_stage(state: State, params: PhysicalParams, dt: float) -> StageFluxes:
+def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
+                         map=map) -> StageFluxes:
     """Advance the state in place by one Euler hyperbolic substep plus friction.
 
     Only the active box is evaluated; every cell outside it keeps its bits,
-    which the module docstring shows is what a full-grid stage gives.
+    which the module docstring shows is what a full-grid stage gives.  Both
+    phases run one task per row strip through the order-preserving ``map``.
     """
     edges = StageFluxes(
         west=np.zeros(state.nrows), east=np.zeros(state.nrows),
@@ -308,7 +340,7 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float) -> Sta
     padded = (slice(r0, r1 + 2 * GHOSTS), slice(c0, c1 + 2 * GHOSTS))
     l_h, l_hu, l_hv, sub = residual_arrays(
         state.h[padded], state.hu[padded], state.hv[padded], state.z[padded],
-        state.dx, state.dy, params,
+        state.dx, state.dy, params, map,
     )
     if c0 == 0:
         edges.west[r0:r1] = sub.west
@@ -320,8 +352,8 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float) -> Sta
         edges.south[c0:c1] = sub.south
 
     cols = slice(c0 + GHOSTS, c1 + GHOSTS)
-    min_h = np.inf
-    for s0, s1 in _strips(r1 - r0, c1 - c0 + 2 * GHOSTS):
+
+    def update(s0, s1):
         cells = (slice(r0 + GHOSTS + s0, r0 + GHOSTS + s1), cols)
         h_prev = state.h[cells]
         qx_prev = state.hu[cells]
@@ -337,11 +369,14 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float) -> Sta
         qx_new = friction_step(h_new, qx_star, h_prev, qx_prev, dt, params, q_mag)
         qy_new = friction_step(h_new, qy_star, h_prev, qy_prev, dt, params, q_mag)
 
-        min_h = min(min_h, _check_and_zero_dry(h_new, qx_new, qy_new, params.h_dry,
-                                               "hyperbolic stage"))
+        min_h = _check_and_zero_dry(h_new, qx_new, qy_new, params.h_dry,
+                                    "hyperbolic stage")
         state.h[cells] = h_new
         state.hu[cells] = qx_new
         state.hv[cells] = qy_new
+        return min_h
+
+    min_h = min(_run_strips(map, update, _strips(r1 - r0, c1 - c0 + 2 * GHOSTS)))
     # Depths are clamped over the whole box once any is negative, as one
     # whole-box pass would; a depth too negative aborts naming its first cell.
     inner = (slice(r0 + GHOSTS, r1 + GHOSTS), cols)
@@ -369,8 +404,6 @@ def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,
         (edges.west, dy, 1.0), (edges.east, dy, -1.0),
         (edges.north, dx, 1.0), (edges.south, dx, -1.0),
     ):
-        if line is None:
-            continue
         q_in = inward * line * width
         diag.inflow_volume += float(np.maximum(q_in, 0.0).sum()) * weight
         diag.outflow_volume += float(np.maximum(-q_in, 0.0).sum()) * weight
@@ -378,7 +411,7 @@ def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,
 
 def rk2_step(state: State, params: PhysicalParams, boundary_spec, t: float,
              dt: float | None = None) -> StepDiagnostics:
-    """One full time step of ``state``, in place: a one-block BlockEngine step.
+    """One full time step of ``state``, in place: a one-thread BlockEngine step.
 
     Boundaries are re-applied before each residual.  A flat lake at rest is a
     bitwise fixed point.  With ``time_order = 1`` a single Euler stage runs

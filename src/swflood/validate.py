@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .boundary import BoundarySpec
+from .boundary import BoundarySpec, apply_boundaries
 from .solver import compute_dt, rk2_step
 from .state import INT, PhysicalParams, State
 
@@ -113,6 +113,8 @@ def run_case(case: analytic.AnalyticalCase, n: int,
     spec = BoundarySpec.walls()
     t = 0.0
     while t < case.horizon:
+        # The CFL step reads the ghosts, so fill them for this state at t.
+        apply_boundaries(state, spec, t, params)
         dt = compute_dt(state, params)
         if t + dt >= case.horizon:
             dt = case.horizon - t

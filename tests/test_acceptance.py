@@ -2,7 +2,7 @@
 
 Pins the guarantees the package is built around: exact lake-at-rest
 balance, positivity at dry fronts, volume conservation, convergence to
-analytical dam-break solutions, bit-reproducible block tiling, inflow
+analytical dam-break solutions, bit-reproducible threaded stepping, inflow
 boundary correctness, deterministic terrain extrusion, and a miniature
 flood study from config file to maximal-depth map.  The tolerances are
 part of the contract: loosening one is an interface break, not a test fix.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swflood import kernels
+from swflood import kernels, solver
 from swflood.boundary import BoundarySpec, discharge, riemann_inflow, wall
 from swflood.features import parse_features
 from swflood.partition import BlockEngine
@@ -221,21 +221,20 @@ def test_velocity_traces_conserve_cell_discharge():
 
 
 # --------------------------------------------------------------------------
-# Block tiling determinism
+# Thread-count determinism
 # --------------------------------------------------------------------------
 
 
-def test_any_block_tiling_reproduces_the_serial_fields_bitwise():
-    def dam(n=200):
-        st = State(n, n, 0.5, 0.5, np.zeros((n, n)))
-        st.h[INT][:, : n // 2] = 1.0
-        st.h[INT][:, n // 2 :] = 0.1
-        return st
+def wet_dam(n=200):
+    st = State(n, n, 0.5, 0.5, np.zeros((n, n)))
+    st.h[INT][:, : n // 2] = 1.0
+    st.h[INT][:, n // 2 :] = 0.1
+    return st
 
-    ref = dam()
-    advance(ref, WALLS, 9)
+
+def assert_threads_reproduce(ref):
     for nblocks in (1, 2, 4, 9):
-        st = dam()
+        st = wet_dam()
         t = 0.0
         with BlockEngine(st, PARAMS, WALLS, nblocks=nblocks) as eng:
             for _ in range(9):
@@ -244,6 +243,22 @@ def test_any_block_tiling_reproduces_the_serial_fields_bitwise():
         np.testing.assert_array_equal(out.h[INT], ref.h[INT])
         np.testing.assert_array_equal(out.hu[INT], ref.hu[INT])
         np.testing.assert_array_equal(out.hv[INT], ref.hv[INT])
+
+
+def test_any_block_tiling_reproduces_the_serial_fields_bitwise():
+    # --blocks N sets the worker threads over the row strips of one state.
+    ref = wet_dam()
+    advance(ref, WALLS, 9)
+    assert_threads_reproduce(ref)
+
+
+def test_any_thread_count_reproduces_the_serial_fields_on_small_strips(monkeypatch):
+    # Twenty-five strips of 8 rows per stage against a serial run in 3 strips.
+    ref = wet_dam()
+    advance(ref, WALLS, 9)
+    monkeypatch.setattr(solver, "_STRIP_CELLS", 8 * 204)
+    assert len(solver._strips(200, 204)) == 25
+    assert_threads_reproduce(ref)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Pins of the dry-region skip in the Euler-plus-friction stage.
 
-Each stage advances only the active box of a block: the bounding box of its
-non-zero h, hu or hv (ghosts included), grown by the two-cell MUSCL stencil
-and clipped to the interior.  The digests below were recorded with a solver
-that evaluated every cell of every stage; the skip must reproduce them
-bitwise for any tiling.
+Each stage advances only the active box of the state: the bounding box of
+its non-zero h, hu or hv (ghosts included), grown by the two-cell MUSCL
+stencil and clipped to the interior.  The digests below were recorded with a
+solver that evaluated every cell of every stage; the skip must reproduce
+them bitwise for any thread count and any strip size.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ PARAMS = PhysicalParams(manning_n=0.03)
 
 
 def seam_patch():
-    """Wet patch on a rough bed straddling every seam of the 2-, 4- and 9-block tilings."""
+    """Wet patch on a rough bed, away from every edge."""
     rng = np.random.default_rng(31)
     st = State(18, 18, 1.0, 1.0, rng.uniform(0.0, 0.05, size=(18, 18)))
     st.h[INT][4:12, 4:12] = 0.3 + rng.uniform(0.0, 0.1, size=(8, 8))
@@ -32,7 +32,7 @@ def seam_patch():
 
 
 def dry_inflow():
-    """Dry sloping valley fed from the west; eastern blocks wet through their halos."""
+    """Dry sloping valley fed from the west; the box grows as the water arrives."""
     x = np.arange(12, dtype=np.float64)
     z = np.tile(0.5 - 0.04 * x, (8, 1)) + 0.01 * np.abs(np.arange(8) - 3.5)[:, None]
     st = State(8, 12, 1.0, 1.0, z)
@@ -112,6 +112,16 @@ def test_active_box_stepping_reproduces_the_full_grid_digest(case, nblocks):
     assert digest(*step_blocks(*build(), nblocks)) == expected
 
 
+@pytest.mark.parametrize("nthreads", [1, 2, 4, 9])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_one_row_strips_reproduce_the_full_grid_digest(case, nthreads, monkeypatch):
+    # Every row of a box is a strip of its own, so each wet case spans more
+    # strips than threads.
+    monkeypatch.setattr(solver, "_STRIP_CELLS", 1)
+    build, expected = CASES[case]
+    assert digest(*step_blocks(*build(), nthreads)) == expected
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_serial_step_reproduces_the_full_grid_digest(case):
     build, expected = CASES[case]
@@ -163,6 +173,7 @@ def test_dry_cells_with_momentum_are_live():
 
 
 def test_an_all_dry_block_does_nothing(monkeypatch):
+    # A state with no live cell runs no strip.
     st = State(6, 5, 1.0, 1.0, np.linspace(0.0, 1.0, 30).reshape(6, 5))
     calls = []
     monkeypatch.setattr(solver, "residual_arrays", lambda *args: calls.append(args))

@@ -1,15 +1,19 @@
 """Pins of the row-strip evaluation of the Euler-plus-friction stage.
 
-A stage evaluates its active box in strips of rows sized to stay in cache.
-Every kernel is elementwise, so a strip gives the same bits as the whole box.
-The digests below were recorded with a solver that evaluated each stage on
-the whole box at once; the strips must reproduce them bitwise for any tiling
-and for both friction couplings.  The first-order-in-time and
-first-order-in-space digests pin the serial rk2_step and the engine at 1, 2
-and 4 blocks to one step sequence.
+A stage evaluates its active box in strips of rows sized to stay in cache,
+one task per strip on the engine's worker threads.  Every kernel is
+elementwise, so a strip gives the same bits as the whole box.  The digests
+below were recorded with a solver that evaluated each stage on the whole box
+at once; the strips must reproduce them bitwise for any thread count, any
+strip size and both friction couplings.  The first-order-in-time and
+first-order-in-space digests pin the serial rk2_step and the engine at 1, 2,
+4 and 9 threads to one step sequence.
 """
 
 import hashlib
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,9 +25,12 @@ from swflood.solver import NumericalAbort, euler_friction_stage, rk2_step
 from swflood.state import INT, PhysicalParams, State
 
 STEPS = 12
-# Three strips of 128, 128 and 44 rows on one block, two strips per block on
-# two blocks (checked by test_the_cases_span_several_strips).
+# Three strips of 128, 128 and 44 rows (checked by
+# test_the_cases_span_several_strips).
 SHAPE = (300, 124)
+# Ten strips of at most 32 rows: more strips than threads at every count.
+SMALL_STRIP_CELLS = 32 * (SHAPE[1] + 4)
+THREADS = [1, 2, 4, 9]
 
 
 def dam_with_dry_band():
@@ -101,16 +108,25 @@ def test_the_cases_span_several_strips():
     assert solver._strips(nrows // 2, width) == [(0, 128), (128, 150)]
 
 
-@pytest.mark.parametrize("nblocks", [0, 1, 2, 4], ids=["serial", "1blk", "2blk", "4blk"])
+@pytest.mark.parametrize("nblocks", [0, *THREADS],
+                         ids=["serial", *(f"{n}blk" for n in THREADS)])
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_strip_stage_reproduces_the_whole_box_digest(variant, nblocks):
     assert run(variant, nblocks) == DIGESTS[variant]
 
 
+@pytest.mark.parametrize("nthreads", THREADS)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_small_strips_reproduce_the_whole_box_digest(variant, nthreads, monkeypatch):
+    monkeypatch.setattr(solver, "_STRIP_CELLS", SMALL_STRIP_CELLS)
+    assert len(solver._strips(SHAPE[0], SHAPE[1] + 4)) == 10
+    assert run(variant, nthreads) == DIGESTS[variant]
+
+
 def fake_residual(l_h):
     """A residual_arrays stand-in that returns ``l_h`` and zero momentum terms."""
 
-    def residual(h, hu, hv, z, dx, dy, prm):
+    def residual(h, hu, hv, z, dx, dy, prm, map=map):
         rows, cols = l_h.shape
         edges = solver.StageFluxes(west=np.zeros(rows), east=np.zeros(rows),
                                    north=np.zeros(cols), south=np.zeros(cols))
@@ -126,8 +142,7 @@ ABORTS = {  # recorded with the whole-box stage
 }
 
 
-@pytest.mark.parametrize("case", sorted(ABORTS))
-def test_a_bad_cell_in_a_later_strip_aborts_with_the_whole_box_message(case, monkeypatch):
+def bad_cell_state(case):
     st = State(*SHAPE, 1.0, 1.0, np.zeros(SHAPE))
     st.h[INT][:] = 0.1
     l_h = np.zeros(SHAPE)
@@ -138,10 +153,56 @@ def test_a_bad_cell_in_a_later_strip_aborts_with_the_whole_box_message(case, mon
         l_h[290, 1] = -0.10001
     else:
         l_h[280, 40] = np.nan
+    return st, l_h
+
+
+@pytest.mark.parametrize("case", sorted(ABORTS))
+def test_a_bad_cell_in_a_later_strip_aborts_with_the_whole_box_message(case, monkeypatch):
+    st, l_h = bad_cell_state(case)
     monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
     with pytest.raises(NumericalAbort) as info:
         euler_friction_stage(st, params(), 1.0)
     assert str(info.value) == ABORTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ABORTS))
+def test_a_bad_cell_aborts_with_the_whole_box_message_on_two_threads(case, monkeypatch):
+    st, l_h = bad_cell_state(case)
+    monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(NumericalAbort) as info:
+            euler_friction_stage(st, params(), 1.0, pool.map)
+    assert str(info.value) == ABORTS[case]
+
+
+def test_a_failing_strip_raises_only_after_every_strip_task_returned(monkeypatch):
+    # The first strip fails at once while the last one is still working; the
+    # stage must not raise while that strip can still write to the state.
+    st, l_h = bad_cell_state("later_strip_deeper")
+    l_h[20, 5] = np.nan
+    monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
+    returned = []
+    lock = threading.Lock()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        def slow_last_map(fn, strips):
+            strips = list(strips)
+
+            def task(strip):
+                try:
+                    return fn(strip)
+                finally:
+                    if strip == strips[-1]:
+                        time.sleep(0.3)
+                    with lock:
+                        returned.append(strip)
+
+            return pool.map(task, strips)
+
+        with pytest.raises(NumericalAbort, match="non-finite"):
+            euler_friction_stage(st, params(), 1.0, slow_last_map)
+        with lock:
+            assert len(returned) == 3
 
 
 def test_a_roundoff_clamp_in_one_strip_clamps_the_whole_box(monkeypatch):

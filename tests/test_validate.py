@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from swflood import validate
 from swflood.analytic import ritter_solution
+from swflood.boundary import BoundarySpec, apply_boundaries
 from swflood.state import INT, PhysicalParams
 from swflood.validate import (
     CASES,
@@ -75,6 +77,31 @@ def test_run_case_ritter_converges():
     order = observed_order(coarse, fine)
     assert order > 0.5
     assert fine.l2 > 0 and fine.linf > 0
+
+
+def test_run_case_takes_each_dt_from_ghosts_filled_at_its_time(monkeypatch):
+    # compute_dt reads the ghost cells, so at every call they must be those
+    # a fresh fill of the state being stepped gives at the step's time.
+    seen, times = [], []
+    compute_dt, rk2_step = validate.compute_dt, validate.rk2_step
+
+    def recording_dt(state, params):
+        seen.append(state.copy())
+        return compute_dt(state, params)
+
+    def recording_step(state, params, spec, t, dt=None):
+        times.append(t)
+        return rk2_step(state, params, spec, t, dt)
+
+    monkeypatch.setattr(validate, "compute_dt", recording_dt)
+    monkeypatch.setattr(validate, "rk2_step", recording_step)
+    run_case(build_case("ritter"), 60)
+    assert len(seen) == len(times) > 10
+    for state, t in zip(seen, times):
+        fresh = state.copy()
+        apply_boundaries(fresh, BoundarySpec.walls(), t, PhysicalParams())
+        for name in ("h", "hu", "hv", "z"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(fresh, name))
 
 
 def test_observed_order_nan_at_roundoff():
