@@ -101,7 +101,8 @@ def _run_strips(map, fn, strips):
         except Exception as exc:
             return None, exc
 
-    results = list(map(task, strips))
+    # A lone strip runs on the calling thread: a pool would only add its hand-off.
+    results = [task(strips[0])] if len(strips) == 1 else list(map(task, strips))
     for _, exc in results:
         if exc is not None:
             raise exc
@@ -251,20 +252,29 @@ def friction_step(h_star, q_star, h_n, q_n, dt, params: PhysicalParams, q_mag=No
     on cells wet before and after the stage; q_next = q_star where n = 0 or
     the cell just wetted; q_next = 0 on dry cells.  |q_next| never exceeds
     |q_star|.  ``q_mag`` overrides |q_n| for full velocity-magnitude coupling.
+    Given tuples of momentum components as q_star and q_n, it returns the
+    tuple of their updates and evaluates h_n * h_star^(4/3) once for all.
     """
     n = params.manning_n
     h_star = np.asarray(h_star, dtype=np.float64)
-    q_star = np.asarray(q_star, dtype=np.float64)
     wet_now = h_star > params.h_dry
-    if n == 0.0:
-        return np.where(wet_now, q_star, 0.0)
-    h_n = np.asarray(h_n, dtype=np.float64)
-    mag = np.abs(q_n) if q_mag is None else np.asarray(q_mag, dtype=np.float64)
-    wet_pair = (h_n > params.h_dry) & wet_now
-    # np.where evaluates both branches; keep the power off negative depths
-    safe = np.where(wet_pair, h_n, 1.0) * np.where(wet_pair, h_star, 1.0) ** (4.0 / 3.0)
-    denom = np.where(wet_pair, 1.0 + (dt * n * n) * mag / safe, 1.0)
-    return np.where(wet_now, q_star / denom, 0.0)
+    if n != 0.0:
+        h_n = np.asarray(h_n, dtype=np.float64)
+        wet_pair = (h_n > params.h_dry) & wet_now
+        # np.where evaluates both branches; keep the power off negative depths
+        safe = np.where(wet_pair, h_n, 1.0) * np.where(wet_pair, h_star, 1.0) ** (4.0 / 3.0)
+
+    def one(q_star, q_n):
+        q_star = np.asarray(q_star, dtype=np.float64)
+        if n == 0.0:
+            return np.where(wet_now, q_star, 0.0)
+        mag = np.abs(q_n) if q_mag is None else np.asarray(q_mag, dtype=np.float64)
+        denom = np.where(wet_pair, 1.0 + (dt * n * n) * mag / safe, 1.0)
+        return np.where(wet_now, q_star / denom, 0.0)
+
+    if isinstance(q_star, tuple):
+        return tuple(map(one, q_star, q_n))
+    return one(q_star, q_n)
 
 
 def _check_and_zero_dry(h, hu, hv, h_dry, context) -> float:
@@ -366,8 +376,9 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
         q_mag = None
         if params.friction_full_velocity:
             q_mag = np.sqrt(qx_prev * qx_prev + qy_prev * qy_prev)
-        qx_new = friction_step(h_new, qx_star, h_prev, qx_prev, dt, params, q_mag)
-        qy_new = friction_step(h_new, qy_star, h_prev, qy_prev, dt, params, q_mag)
+        # One call for both components evaluates the depth factor once.
+        qx_new, qy_new = friction_step(h_new, (qx_star, qy_star), h_prev, (qx_prev, qy_prev),
+                                       dt, params, q_mag)
 
         min_h = _check_and_zero_dry(h_new, qx_new, qy_new, params.h_dry,
                                     "hyperbolic stage")

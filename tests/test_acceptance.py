@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from swflood import kernels, solver
-from swflood.boundary import BoundarySpec, discharge, riemann_inflow, wall
+from swflood.boundary import BoundarySpec, apply_boundaries, discharge, riemann_inflow, wall
 from swflood.features import parse_features
 from swflood.partition import BlockEngine
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
@@ -63,6 +63,8 @@ def advance_to(state, horizon, params=PARAMS, spec=WALLS):
     """Step exactly to the horizon, clipping the final dt; yields diagnostics."""
     t = 0.0
     while t < horizon:
+        # Fresh ghosts at t, as a production step's dt reads them.
+        apply_boundaries(state, spec, t, params)
         dt = compute_dt(state, params)
         if t + dt >= horizon:
             dt = horizon - t

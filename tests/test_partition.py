@@ -156,6 +156,33 @@ def test_engine_sizes_its_pool_by_the_cpu_count_and_starts_no_thread(monkeypatch
     assert sized[-2:] == [1, "shutdown"]
 
 
+def test_one_strip_phases_run_on_the_calling_thread(monkeypatch):
+    # The 9x7 box is one strip, so a 2-thread engine submits no phase to its
+    # pool and keeps the serial bits; with one-row strips every phase goes
+    # through the pool.
+    mapped = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items):
+            mapped.append(len(items))
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(partition, "ThreadPoolExecutor", StubPool)
+    serial = run_serial(random_wet_state(9, 7, seed=24), mixed_spec(), 6)
+    assert solver._strips(9, 11) == [(0, 9)]
+    assert_same_run(run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 6, 2), serial)
+    assert mapped == []
+    monkeypatch.setattr(solver, "_STRIP_CELLS", 1)
+    run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 1, 2)
+    assert mapped == [9] * 4
+
+
 def test_multi_thread_engine_steps_the_given_state_in_place():
     st = random_wet_state(9, 7, seed=29)
     ref = random_wet_state(9, 7, seed=29)

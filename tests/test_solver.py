@@ -185,6 +185,21 @@ def test_friction_never_amplifies():
     assert (np.sign(out) == np.sign(q_star))[np.abs(out) > 0].all()
 
 
+@pytest.mark.parametrize("manning", [0.0, 0.3])
+@pytest.mark.parametrize("full_velocity", [False, True])
+def test_friction_on_both_components_matches_one_call_each(manning, full_velocity):
+    rng = np.random.default_rng(32)
+    h_star, h_n = rng.uniform(-1e-3, 2.0, size=(2, 50, 7))
+    qx_star, qy_star, qx_n, qy_n = rng.uniform(-3.0, 3.0, size=(4, 50, 7))
+    q_mag = np.hypot(qx_n, qy_n) if full_velocity else None
+    params = PhysicalParams(manning_n=manning)
+    both = friction_step(h_star, (qx_star, qy_star), h_n, (qx_n, qy_n), 0.5, params, q_mag)
+    assert isinstance(both, tuple) and len(both) == 2
+    for new, q_star, q_n in zip(both, (qx_star, qy_star), (qx_n, qy_n)):
+        one = friction_step(h_star, q_star, h_n, q_n, 0.5, params, q_mag)
+        assert new.tobytes() == one.tobytes()
+
+
 def test_friction_full_velocity_magnitude_coupling():
     # With |q| coupling the denominator uses hypot(qx, qy), not |qx|.
     params = PhysicalParams(manning_n=0.1)
