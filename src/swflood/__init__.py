@@ -10,7 +10,6 @@ verification cases.
 from .analytic import (
     AnalyticalCase,
     error_norms,
-    exact_riemann_flux,
     exact_riemann_sample,
     lake_at_rest_case,
     ritter_solution,
@@ -59,7 +58,6 @@ from .simulation import (
     read_hydrograph,
     run,
     save_checkpoint,
-    steady_state_monitor,
 )
 from .solver import (
     NumericalAbort,
@@ -99,7 +97,6 @@ __all__ = [
     "discharge",
     "edge_mask_from_cells",
     "error_norms",
-    "exact_riemann_flux",
     "exact_riemann_sample",
     "extrude",
     "free_outflow",
@@ -121,7 +118,6 @@ __all__ = [
     "save_checkpoint",
     "save_raster",
     "select_classes",
-    "steady_state_monitor",
     "stoker_middle_state",
     "stoker_solution",
     "velocity",

@@ -3,7 +3,7 @@
 All kernels accept scalars or numpy arrays elementwise and are pure.  The
 scheme combines a minmod MUSCL reconstruction of u, h and h+z, a
 discharge-conserving velocity reconstruction, the hydrostatic reconstruction
-of interface depths, HLL/HLLC fluxes, and the interface plus centered source
+of interface depths, an HLLC flux, and the interface plus centered source
 terms that keep lakes at rest exactly balanced.
 """
 
@@ -98,7 +98,7 @@ def physical_flux(h, u, g):
 
 
 def _wave_speeds(h_l, u_l, h_r, u_r, g):
-    """HLL wave speed bounds (c1, c2) of hll_flux."""
+    """HLL wave speed bounds (c1, c2) of hllc_flux."""
     c_l = np.sqrt(g * h_l)
     c_r = np.sqrt(g * h_r)
     return np.minimum(u_l - c_l, u_r - c_r), np.maximum(u_l + c_l, u_r + c_r)
@@ -117,27 +117,17 @@ def _contact_upwind_left(h_l, u_l, h_r, u_r, c1, c2):
     return zero | (num / np.where(zero, 1.0, den) >= 0)
 
 
-def hll_flux(h_l, u_l, h_r, u_r, g):
-    """Two-wave approximate Riemann flux: the first two outputs of hllc_flux.
+def hllc_flux(h_l, u_l, v_l, h_r, u_r, v_r, g):
+    """HLL flux extended with an upwinded transverse momentum component.
 
-    Wave speed bounds:
+    Mass and normal momentum are the two-wave HLL flux with wave speed bounds
 
         c1 = min(u_l - sqrt(g*h_l), u_r - sqrt(g*h_r))
         c2 = max(u_l + sqrt(g*h_l), u_r + sqrt(g*h_r))
 
     Supersonic cases take the upwind physical flux; otherwise the standard
     HLL average applies.  Identical states return the physical flux exactly,
-    and two dry states return zero flux.
-    """
-    fh, fhu, _ = hllc_flux(h_l, u_l, 0.0, h_r, u_r, 0.0, g)
-    return fh, fhu
-
-
-def hllc_flux(h_l, u_l, v_l, h_r, u_r, v_r, g):
-    """HLL flux extended with an upwinded transverse momentum component.
-
-    Mass and normal momentum are the HLL flux (see hll_flux).  The
-    transverse flux is f_h * v taken from the side of the contact wave
+    and two dry states return zero flux.  The transverse flux is f_h * v taken from the side of the contact wave
 
         c* = (c1*h_r*(u_r - c2) - c2*h_l*(u_l - c1))
              / (h_r*(u_r - c2) - h_l*(u_l - c1))

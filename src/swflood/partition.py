@@ -93,7 +93,7 @@ class BlockEngine:
         )
 
     def step(self, t: float, dt: float | None = None) -> StepDiagnostics:
-        """One Heun step of the state, or one Euler stage if time_order = 1.
+        """One Heun step of the state.
 
         Each stage refills the boundary ghosts, then advances the state
         through solver.euler_friction_stage.  The ghosts left behind are
@@ -104,11 +104,6 @@ class BlockEngine:
         if dt is None:
             dt = dt_from_wave_speed(speed, state.dx, state.dy, params)
         diag = StepDiagnostics(dt=dt, max_wave_speed=speed, min_h=np.inf)
-
-        if params.time_order == 1:
-            self._stage(t, dt, diag, dt)
-            return diag
-
         saved = (state.h[INT].copy(), state.hu[INT].copy(), state.hv[INT].copy())
         self._stage(t, dt, diag, 0.5 * dt)
         self._stage(t + dt, dt, diag, 0.5 * dt)

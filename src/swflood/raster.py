@@ -65,18 +65,6 @@ class RasterGrid:
     def nodata_mask(self) -> np.ndarray:
         return self.values == self.nodata
 
-    def cell_of(self, x: float, y: float):
-        """Return (row, col) of the cell containing (x, y), or None if outside.
-
-        Cells are half-open: a point on the shared edge of two cells belongs
-        to the cell with the larger coordinate.
-        """
-        col = int(np.floor((x - self.xll) / self.cellsize))
-        row_s = int(np.floor((y - self.yll) / self.cellsize))  # counted from the south
-        if 0 <= col < self.ncols and 0 <= row_s < self.nrows:
-            return self.nrows - 1 - row_s, col
-        return None
-
     def copy(self) -> "RasterGrid":
         return RasterGrid(
             self.ncols, self.nrows, self.xll, self.yll, self.cellsize,
@@ -149,13 +137,17 @@ def read_ascii_grid(source) -> RasterGrid:
             raise RasterParseError(
                 f"data row {row} has {len(tokens)} values, expected {ncols}"
             )
-        for col, tok in enumerate(tokens):
-            try:
-                values[row, col] = float(tok)
-            except ValueError:
-                raise RasterParseError(
-                    f"non-numeric value {tok!r} at row {row}, col {col}"
-                ) from None
+        try:
+            values[row] = list(map(float, tokens))
+        except ValueError:
+            # Rescan the bad row only, to name the first offending token.
+            for col, tok in enumerate(tokens):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise RasterParseError(
+                        f"non-numeric value {tok!r} at row {row}, col {col}"
+                    ) from None
         row += 1
     if row != nrows:
         raise RasterParseError(f"got {row} data rows, expected {nrows}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .state import INT, PhysicalParams, State, velocity
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"SWFCHK02"
+CHECKPOINT_MAGIC = b"SWFCHK03"
 SNAPSHOT_PRECISION = 9
 
 
@@ -79,10 +80,13 @@ def read_hydrograph(source) -> Hydrograph:
         if len(parts) != 2:
             raise ValueError(f"hydrograph line {lineno}: expected 't Q', got {raw!r}")
         try:
-            times.append(float(parts[0]))
-            flows.append(float(parts[1]))
+            t, q = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"hydrograph line {lineno}: non-numeric value in {raw!r}")
+        if not (math.isfinite(t) and math.isfinite(q)):
+            raise ValueError(f"hydrograph line {lineno}: non-finite value in {raw!r}")
+        times.append(t)
+        flows.append(q)
     return Hydrograph(np.array(times), np.array(flows))
 
 
@@ -155,9 +159,12 @@ def load_scenario(path) -> Scenario:
                 raise ConfigError(f"missing required key {key!r} in {path}")
             return default
         try:
-            return float(raw[key])
+            value = float(raw[key])
         except ValueError:
             raise ConfigError(f"key {key!r}: expected a number, got {raw[key]!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: expected a finite number, got {raw[key]!r}")
+        return value
 
     def take_path(key, required):
         if key not in raw:
@@ -317,18 +324,6 @@ class MassBalance:
         return err / max(self.inflow, self.initial_volume, 1e-30)
 
 
-def steady_state_monitor(h_samples) -> list[float]:
-    """Max-norm relative change of h between consecutive sampled states."""
-    samples = [np.asarray(h, dtype=np.float64) for h in h_samples]
-    if len(samples) < 2:
-        raise ValueError("need at least two sampled states")
-    changes = []
-    for prev, cur in zip(samples, samples[1:]):
-        scale = max(float(np.abs(prev).max()), 1e-30)
-        changes.append(float(np.abs(cur - prev).max()) / scale)
-    return changes
-
-
 def _scenario_identity(scenario: Scenario, spec: BoundarySpec) -> bytes:
     """The resolved scenario fields a restart must agree with beyond the
     parameters, grid and topography: durations, spin-up, edge kinds, the
@@ -352,10 +347,10 @@ def _config_digest(params: PhysicalParams, state: State, identity: bytes) -> byt
     """Fingerprint of everything a checkpoint must agree with to be resumable."""
     hasher = hashlib.sha256()
     hasher.update(struct.pack(
-        "<8d3q",
+        "<8dq",
         params.g, params.manning_n, params.h_dry, params.cfl,
         params.dt_min, params.dt_max, state.dx, state.dy,
-        params.space_order, params.time_order, params.friction_full_velocity,
+        params.friction_full_velocity,
     ))
     hasher.update(struct.pack("<2q2d", state.nrows, state.ncols, state.xll, state.yll))
     hasher.update(np.ascontiguousarray(state.z[INT], dtype="<f8").tobytes())

@@ -109,7 +109,7 @@ def _run_strips(map, fn, strips):
     return [out for out, _ in results]
 
 
-def _axis_residual(h, un, ut, z, dx, g, h_dry, order):
+def _axis_residual(h, un, ut, z, dx, g, h_dry):
     """Residual contribution of one sweep direction.
 
     Arrays are oriented with the sweep along the last axis, which carries two
@@ -121,22 +121,12 @@ def _axis_residual(h, un, ut, z, dx, g, h_dry, order):
     w = h + z
 
     hc = h[:, 1:-1]
-    if order == 1:
-        h_m = h_p = hc
-        w_m = w_p = w[:, 1:-1]
-        u_m = u_p = un[:, 1:-1]
-        v_m = v_p = ut[:, 1:-1]
-    else:
-        h_m, h_p = kernels.muscl_reconstruct(h[:, :-2], hc, h[:, 2:], dx)
-        w_m, w_p = kernels.muscl_reconstruct(w[:, :-2], w[:, 1:-1], w[:, 2:], dx)
-        du = kernels.muscl_slope(un[:, :-2], un[:, 1:-1], un[:, 2:], dx)
-        dv = kernels.muscl_slope(ut[:, :-2], ut[:, 1:-1], ut[:, 2:], dx)
-        u_m, u_p = kernels.velocity_reconstruct(
-            un[:, 1:-1], hc, h_m, h_p, du, dx, h_dry
-        )
-        v_m, v_p = kernels.velocity_reconstruct(
-            ut[:, 1:-1], hc, h_m, h_p, dv, dx, h_dry
-        )
+    h_m, h_p = kernels.muscl_reconstruct(h[:, :-2], hc, h[:, 2:], dx)
+    w_m, w_p = kernels.muscl_reconstruct(w[:, :-2], w[:, 1:-1], w[:, 2:], dx)
+    du = kernels.muscl_slope(un[:, :-2], un[:, 1:-1], un[:, 2:], dx)
+    dv = kernels.muscl_slope(ut[:, :-2], ut[:, 1:-1], ut[:, 2:], dx)
+    u_m, u_p = kernels.velocity_reconstruct(un[:, 1:-1], hc, h_m, h_p, du, dx, h_dry)
+    v_m, v_p = kernels.velocity_reconstruct(ut[:, 1:-1], hc, h_m, h_p, dv, dx, h_dry)
     z_m = w_m - h_m
     z_p = w_p - h_p
 
@@ -171,7 +161,7 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     nr = h.shape[0] - 2 * GHOSTS
     nc = h.shape[1] - 2 * GHOSTS
     cols = slice(GHOSTS, GHOSTS + nc)
-    g, h_dry, order = params.g, params.h_dry, params.space_order
+    g, h_dry = params.g, params.h_dry
     u = velocity(h, hu, h_dry)
     v = velocity(h, hv, h_dry)
 
@@ -183,13 +173,13 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     def strip(r0, r1):
         mid = slice(r0 + GHOSTS, r1 + GHOSTS)
         xh, xqn, xqt, edges.west[r0:r1], edges.east[r0:r1] = _axis_residual(
-            h[mid], u[mid], v[mid], z[mid], dx, g, h_dry, order,
+            h[mid], u[mid], v[mid], z[mid], dx, g, h_dry,
         )
         # The y sweep of the strip's rows reads the two halo rows on each side.
         pad = slice(r0, r1 + 2 * GHOSTS)
         yh, yqn, yqt, fh_n, fh_s = _axis_residual(
             h[pad, cols].T, v[pad, cols].T, u[pad, cols].T, z[pad, cols].T,
-            dy, g, h_dry, order,
+            dy, g, h_dry,
         )
         np.add(xh, yh.T, out=l_h[r0:r1])
         np.add(xqn, yqt.T, out=l_hu[r0:r1])
@@ -425,8 +415,7 @@ def rk2_step(state: State, params: PhysicalParams, boundary_spec, t: float,
     """One full time step of ``state``, in place: a one-thread BlockEngine step.
 
     Boundaries are re-applied before each residual.  A flat lake at rest is a
-    bitwise fixed point.  With ``time_order = 1`` a single Euler stage runs
-    instead of the Heun pair.
+    bitwise fixed point.
     """
     from .partition import BlockEngine  # partition imports this module
 

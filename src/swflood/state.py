@@ -36,8 +36,6 @@ class PhysicalParams:
     cfl: float = 0.5
     dt_min: float = 1.0e-8
     dt_max: float = 10.0
-    space_order: int = 2       # 1 forces zero slopes (first-order scheme)
-    time_order: int = 2        # 1 runs a single Euler stage
     friction_full_velocity: bool = False  # couple friction through |q| magnitude
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class PhysicalParams:
             warnings.warn(f"cfl = {self.cfl} > 1 is unstable for this scheme", stacklevel=2)
         if not 0 < self.dt_min <= self.dt_max:
             raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
-        if self.space_order not in (1, 2) or self.time_order not in (1, 2):
-            raise ValueError("space_order and time_order must be 1 or 2")
 
 
 class State:
@@ -93,37 +89,23 @@ class State:
         dsm: RasterGrid,
         initial_h: float = 0.0,
         nodata_walls: bool = False,
-        internal_walls=None,
     ) -> "State":
         """Build a state over a DSM; row 0 of the raster is the north edge.
 
         Nodata cells become internal walls when ``nodata_walls`` is on and are
-        rejected otherwise.  ``internal_walls`` adds explicit wall cells given
-        as (row, col) pairs or a boolean mask.  Wall cells are realized as
-        topography raised far above any reachable free surface, which blocks
-        flow exactly under the hydrostatic reconstruction.
+        rejected otherwise.  Wall cells are realized as topography raised far
+        above any reachable free surface, which blocks flow exactly under the
+        hydrostatic reconstruction.
         """
         if initial_h < 0:
             raise ValueError(f"initial_h must be non-negative, got {initial_h}")
         z = dsm.values.copy()
-        wall = np.zeros_like(z, dtype=bool)
-        nodata = dsm.nodata_mask
-        if nodata.any():
-            if not nodata_walls:
-                raise ValueError(
-                    f"DSM has {int(nodata.sum())} nodata cell(s); "
-                    "enable wall masking or fill them"
-                )
-            wall |= nodata
-        if internal_walls is not None:
-            mask = np.asarray(internal_walls)
-            if mask.dtype == bool:
-                if mask.shape != z.shape:
-                    raise ValueError("internal wall mask shape does not match the DSM")
-                wall |= mask
-            else:
-                for row, col in internal_walls:
-                    wall[row, col] = True
+        wall = dsm.nodata_mask
+        if wall.any() and not nodata_walls:
+            raise ValueError(
+                f"DSM has {int(wall.sum())} nodata cell(s); "
+                "enable wall masking or fill them"
+            )
 
         z_wall = (z[~wall].max() if (~wall).any() else 0.0) + WALL_BLOCK_HEIGHT
         z[wall] = z_wall

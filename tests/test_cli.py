@@ -191,6 +191,15 @@ def test_build_dsm_bad_features_exits_one(tmp_path):
                  "--out", str(tmp_path / "d.asc")]) == 1
 
 
+def run_cli_process(args):
+    """Run the CLI in a fresh interpreter, so stderr shows any traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "swflood.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("bad", ["inf", "nan", "-3"])
 def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad):
     dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.zeros((4, 4)))
@@ -198,21 +207,32 @@ def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad
     (tmp_path / "dtm.asc").write_text(text)
     (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
     (tmp_path / "classes.txt").write_text("10\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "swflood.cli", "build-dsm",
-         "--dtm", str(tmp_path / "dtm.asc"),
-         "--features", str(tmp_path / "features.txt"),
-         "--classes", str(tmp_path / "classes.txt"),
-         "--out", str(tmp_path / "d.asc")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_process(["build-dsm",
+                            "--dtm", str(tmp_path / "dtm.asc"),
+                            "--features", str(tmp_path / "features.txt"),
+                            "--classes", str(tmp_path / "classes.txt"),
+                            "--out", str(tmp_path / "d.asc")])
     assert proc.returncode == 1
     assert f"ncols/nrows must be finite positive integers, got ncols {bad}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "d.asc").exists()
+
+
+@pytest.mark.parametrize("file, old, new, message", [
+    ("scenario.cfg", "total_duration = 4", "total_duration = nan",
+     "key 'total_duration': expected a finite number, got 'nan'"),
+    ("hydro.txt", "5 2.0", "5 nan", "hydrograph line 2: non-finite value in '5 nan'"),
+], ids=["config", "hydrograph"])
+def test_run_on_a_non_finite_number_exits_one_without_traceback(tmp_path, file, old,
+                                                                 new, message):
+    cfg = write_scenario(tmp_path)
+    path = tmp_path / file
+    path.write_text(path.read_text().replace(old, new))
+    proc = run_cli_process(["run", "--config", str(cfg)])
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_validate_workflow_stdout_and_file(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from swflood.analytic import exact_riemann_flux, ritter_solution
 from swflood.kernels import (
     centered_source,
-    hll_flux,
     hllc_flux,
     hydrostatic_reconstruct,
     interface_sources,
@@ -139,21 +138,21 @@ def test_hydrostatic_equal_surfaces_give_equal_depths():
 
 
 def test_hll_identical_states_return_physical_flux():
-    fh, fhu = hll_flux(1.0, 0.0, 1.0, 0.0, G)
+    fh, fhu = hllc_flux(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, G)[:2]
     assert (fh, fhu) == (0.0, 4.905)  # g/2 * h^2 exactly
 
 
 def test_hll_two_dry_states_zero_flux():
-    assert hll_flux(0.0, 0.0, 0.0, 0.0, G) == (0.0, 0.0)
+    assert hllc_flux(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, G)[:2] == (0.0, 0.0)
 
 
 def test_hll_supersonic_takes_upwind_flux():
     # u = 10 >> sqrt(g*1): both waves move right, flux is the left state's.
-    fh, fhu = hll_flux(1.0, 10.0, 0.5, 10.0, G)
+    fh, fhu = hllc_flux(1.0, 10.0, 0.0, 0.5, 10.0, 0.0, G)[:2]
     fh_l, fhu_l = physical_flux(1.0, 10.0, G)
     assert (fh, fhu) == (fh_l, fhu_l)
     # Mirrored: both waves left.
-    fh, fhu = hll_flux(1.0, -10.0, 0.5, -10.0, G)
+    fh, fhu = hllc_flux(1.0, -10.0, 0.0, 0.5, -10.0, 0.0, G)[:2]
     fh_r, fhu_r = physical_flux(0.5, -10.0, G)
     assert (fh, fhu) == (fh_r, fhu_r)
 
@@ -161,7 +160,7 @@ def test_hll_supersonic_takes_upwind_flux():
 def test_hll_subsonic_flux_is_consistent_average():
     # Still-water dam: mass flux positive (water moves right), bounded by
     # the left state's wave flux.
-    fh, fhu = hll_flux(1.0, 0.0, 0.1, 0.0, G)
+    fh, fhu = hllc_flux(1.0, 0.0, 0.0, 0.1, 0.0, 0.0, G)[:2]
     assert 0.0 < fh < np.sqrt(G)  # less than h_l * c_l
     assert fhu > 0.0
 
@@ -175,7 +174,7 @@ def test_hll_matches_exact_riemann_on_resolved_dam_front():
     x_faces = np.array([-dx, 0.0, dx])  # cell centers at +-dx/2
     centers = 0.5 * (x_faces[:-1] + x_faces[1:])
     h, u = ritter_solution(centers, t, 0.0, 1.0, G)
-    fh, _ = hll_flux(h[0], u[0], h[1], u[1], G)
+    fh, _ = hllc_flux(h[0], u[0], 0.0, h[1], u[1], 0.0, G)[:2]
     fh_exact, _ = exact_riemann_flux(1.0, 0.0, 0.0, 0.0, G)
     assert fh_exact == pytest.approx(0.9283, abs=5e-4)
     assert fh == pytest.approx(fh_exact, rel=0.01)
@@ -202,7 +201,7 @@ def test_hllc_mass_momentum_match_hll():
     rng = np.random.default_rng(25)
     h_l, h_r = rng.uniform(0.01, 3.0, size=(2, 200))
     u_l, u_r, v_l, v_r = rng.uniform(-3.0, 3.0, size=(4, 200))
-    fh, fhu = hll_flux(h_l, u_l, h_r, u_r, G)
+    fh, fhu = hllc_flux(h_l, u_l, 0.0, h_r, u_r, 0.0, G)[:2]
     fh2, fhu2, _ = hllc_flux(h_l, u_l, v_l, h_r, u_r, v_r, G)
     np.testing.assert_array_equal(fh, fh2)
     np.testing.assert_array_equal(fhu, fhu2)

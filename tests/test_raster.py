@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swflood.features import ClassifiedFeature, FeatureKind
 from swflood.raster import (
     RasterGrid,
     RasterParseError,
@@ -11,6 +12,7 @@ from swflood.raster import (
     save_raster,
     write_ascii_grid,
 )
+from swflood.rasterize import rasterize_feature
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0):
@@ -85,6 +87,13 @@ def test_read_blank_lines_between_rows_ignored():
 def test_read_rejects_malformed_input(mangle, fragment):
     with pytest.raises(RasterParseError, match=fragment):
         read_ascii_grid(mangle(SMALL))
+
+
+def test_read_names_the_first_bad_token_of_the_last_row():
+    text = SMALL.replace("4 -9999 6", "4 x1 y2")
+    with pytest.raises(RasterParseError) as info:
+        read_ascii_grid(text)
+    assert str(info.value) == "non-numeric value 'x1' at row 1, col 1"
 
 
 @pytest.mark.parametrize("key", ["ncols", "nrows"])
@@ -167,13 +176,19 @@ def test_grid_defaults_to_all_nodata():
 
 
 def test_cell_of_maps_world_to_row_col():
-    # 2x3 grid, cellsize 2, origin (10, 20): northern row is row 0.
+    # 2x3 grid, cellsize 2, origin (10, 20): northern row is row 0.  Cells are
+    # half-open, so a point on a shared edge belongs to the larger cell.
     g = make_grid(np.zeros((2, 3)), xll=10.0, yll=20.0, cellsize=2.0)
-    assert g.cell_of(10.5, 20.5) == (1, 0)  # south-west corner cell
-    assert g.cell_of(15.9, 23.9) == (0, 2)  # north-east corner cell
-    assert g.cell_of(12.0, 22.0) == (0, 1)  # on shared edges -> larger cell
-    assert g.cell_of(9.9, 20.5) is None
-    assert g.cell_of(10.5, 24.1) is None
+
+    def cells(x, y):
+        point = ClassifiedFeature(1, FeatureKind.POINT, np.array([[x, y, 1.0]]))
+        return [cell for cell, _ in rasterize_feature(point, g)]
+
+    assert cells(10.5, 20.5) == [(1, 0)]  # south-west corner cell
+    assert cells(15.9, 23.9) == [(0, 2)]  # north-east corner cell
+    assert cells(12.0, 22.0) == [(0, 1)]  # on shared edges -> larger cell
+    assert cells(9.9, 20.5) == []
+    assert cells(10.5, 24.1) == []
 
 
 def test_copy_is_independent():

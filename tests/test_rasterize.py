@@ -88,8 +88,8 @@ def test_supercover_is_four_connected_on_random_segments():
         x0, y0, x1, y1 = rng.uniform(0.05, 4.95, size=4)
         out = rasterize_feature(feat(FeatureKind.LINE, (x0, y0, 0.0), (x1, y1, 1.0)), GRID5)
         cover = cells_of(out)
-        assert GRID5.cell_of(x0, y0) in cover
-        assert GRID5.cell_of(x1, y1) in cover
+        assert ref_cell_at(GRID5, x0, y0) in cover
+        assert ref_cell_at(GRID5, x1, y1) in cover
         # Breadth-first flood over 4-neighbours must reach every cell.
         seen = {next(iter(cover))}
         frontier = list(seen)

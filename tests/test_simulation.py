@@ -25,7 +25,6 @@ from swflood.simulation import (
     run,
     save_checkpoint,
     scenario_discharge,
-    steady_state_monitor,
 )
 from swflood.solver import NumericalAbort
 from swflood.state import INT, PhysicalParams, State
@@ -72,6 +71,12 @@ def test_read_hydrograph_comments_and_errors(tmp_path):
         read_hydrograph(io.StringIO("0 1 2\n"))
     with pytest.raises(ValueError, match="line 2: non-numeric"):
         read_hydrograph(io.StringIO("0 1\n5 x\n"))
+
+
+@pytest.mark.parametrize("bad", ["5 nan", "5 inf", "5 -inf", "nan 1", "inf 1"])
+def test_read_hydrograph_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="line 2: non-finite value"):
+        read_hydrograph(io.StringIO(f"0 1\n{bad}\n"))
 
 
 def test_scenario_discharge_two_phases():
@@ -148,6 +153,19 @@ def test_load_scenario_rejects_bad_configs(tmp_path, extra, fragment):
         load_scenario(path)
 
 
+FLOAT_KEYS = ["g", "manning_n", "cfl", "h_dry", "dt_min", "dt_max", "spinup_q",
+              "spinup_duration", "total_duration", "snapshot_interval", "initial_h"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_load_scenario_rejects_non_finite_numbers(tmp_path, key, value):
+    lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(key + " ")]
+    path = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    with pytest.raises(ConfigError, match=f"key '{key}': expected a finite number"):
+        load_scenario(path)
+
+
 def test_load_scenario_missing_required_keys(tmp_path):
     path = write_config(tmp_path, "total_duration = 10\noutput_dir = out\n")
     with pytest.raises(ConfigError, match="missing required key 'dsm'"):
@@ -184,15 +202,6 @@ def test_mass_balance_closure():
     # closed basin: drift is measured against the stored volume, not 0/0
     drift = MassBalance(50.0, final_volume=49.0)
     assert drift.closure() == pytest.approx(0.02, rel=1e-12)
-
-
-def test_steady_state_monitor():
-    a = np.ones((3, 3))
-    changes = steady_state_monitor([a, a * 1.1, a * 1.1])
-    assert changes[0] == pytest.approx(0.1, rel=1e-12)
-    assert changes[1] == 0.0
-    with pytest.raises(ValueError, match="at least two"):
-        steady_state_monitor([a])
 
 
 # --------------------------------------------------------------------------
@@ -258,9 +267,10 @@ def test_checkpoint_of_an_older_format_names_it(tmp_path):
                     MassBalance(initial_volume=0.0), 0)
     blob = path.read_bytes()
     assert blob.startswith(CHECKPOINT_MAGIC)
-    path.write_bytes(b"SWFCHK01" + blob[len(CHECKPOINT_MAGIC):])
-    with pytest.raises(ConfigError, match="has format SWFCHK01"):
-        load_checkpoint(path, st, PhysicalParams())
+    for old in ("SWFCHK01", "SWFCHK02"):
+        path.write_bytes(old.encode() + blob[len(CHECKPOINT_MAGIC):])
+        with pytest.raises(ConfigError, match=f"has format {old}"):
+            load_checkpoint(path, st, PhysicalParams())
 
 
 def test_checkpoint_rejects_corrupt_files(tmp_path):

