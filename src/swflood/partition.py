@@ -21,12 +21,15 @@ from .boundary import BoundarySpec, apply_boundaries
 from .solver import (
     StepDiagnostics,
     accumulate_edge_volumes,
+    active_box,
+    box_cells,
     combine_heun,
     dt_from_wave_speed,
     euler_friction_stage,
+    interior_min,
     max_wave_speed,
 )
-from .state import INT, PhysicalParams, State
+from .state import PhysicalParams, State
 
 
 class BlockEngine:
@@ -67,29 +70,21 @@ class BlockEngine:
     def __exit__(self, *exc):
         self.close()
 
-    def _stage(self, t_stage: float, dt: float, diag: StepDiagnostics,
-               weight: float) -> None:
-        state = self.state
-        diag.critical_inflow_fallbacks += apply_boundaries(state, self.spec, t_stage,
+    def _fill(self, t: float, diag: StepDiagnostics) -> None:
+        diag.critical_inflow_fallbacks += apply_boundaries(self.state, self.spec, t,
                                                            self.params)
-        edges = euler_friction_stage(state, self.params, dt, self._map)
+
+    def _stage(self, dt: float, diag: StepDiagnostics, box) -> None:
+        state = self.state
+        edges = euler_friction_stage(state, self.params, dt, self._map, box)
         diag.min_h = min(diag.min_h, edges.min_h)
-        accumulate_edge_volumes(diag, edges, state.dx, state.dy, weight)
-
-    def _fill_and_speed(self, t: float) -> float:
-        """Refresh the ghosts for time t, then reduce the max wave speed.
-
-        Ghost values are pure functions of the interior and t, so the first
-        stage fill recomputes them bitwise identically; fallbacks counted
-        here are discarded, since that fill counts them again.
-        """
-        apply_boundaries(self.state, self.spec, t, self.params)
-        return max_wave_speed(self.state, self.params)
+        accumulate_edge_volumes(diag, edges, state.dx, state.dy, 0.5 * dt)
 
     def compute_dt(self, t: float) -> float:
         """CFL time step at time t."""
+        apply_boundaries(self.state, self.spec, t, self.params)
         return dt_from_wave_speed(
-            self._fill_and_speed(t), self.state.dx, self.state.dy, self.params
+            max_wave_speed(self.state, self.params), self.state.dx, self.state.dy, self.params
         )
 
     def step(self, t: float, dt: float | None = None) -> StepDiagnostics:
@@ -98,19 +93,69 @@ class BlockEngine:
         Each stage refills the boundary ghosts, then advances the state
         through solver.euler_friction_stage.  The ghosts left behind are
         those of the last stage fill.
+
+        Only the wet boxes are stepped.  B1, the active box after the fill
+        at t, bounds the wave-speed reduction and is stage 1's box: the
+        stage refills the same ghosts, so the box stands (on a grid thinner
+        than the ghost layers, the refill can only leave fewer cells live,
+        and a box larger than needed gives the same fields).  U^n is saved
+        over B1 only.
+        Stage 2's box B2, found after the fill at t + dt, may reach beyond
+        B1; the saved region then grows to the bounding box of both, and the
+        new cells are copied from the state, which stage 1 did not change
+        there.  The Heun average and the final depth minimum cover that
+        region (see solver.combine_heun), and diag.region reports it.
         """
         params, state = self.params, self.state
-        speed = self._fill_and_speed(t)
+        apply_boundaries(state, self.spec, t, params)
+        box = active_box(state)
+        speed = max_wave_speed(state, params, box)
         if dt is None:
             dt = dt_from_wave_speed(speed, state.dx, state.dy, params)
         diag = StepDiagnostics(dt=dt, max_wave_speed=speed, min_h=np.inf)
-        saved = (state.h[INT].copy(), state.hu[INT].copy(), state.hv[INT].copy())
-        self._stage(t, dt, diag, 0.5 * dt)
-        self._stage(t + dt, dt, diag, 0.5 * dt)
-        combine_heun(state, *saved, params)
-        diag.min_h = min(diag.min_h, float(state.h[INT].min()))
+        region, saved = box, _saved(state, box)
+        self._fill(t, diag)
+        self._stage(dt, diag, box)
+        self._fill(t + dt, diag)
+        box = active_box(state)
+        region, saved = _grow(state, region, saved, box)
+        self._stage(dt, diag, box)
+        region = combine_heun(state, saved, region, params)
+        final = 0.0 if region is None else interior_min(
+            state, region, float(state.h[box_cells(region)].min()))
+        diag.min_h = min(diag.min_h, final)
+        diag.region = region
         return diag
 
     def gather(self) -> State:
         """A copy of the current state."""
         return self.state.copy()
+
+
+def _saved(state: State, box):
+    """Copies of h, hu and hv over the interior ``box``; None for no box."""
+    if box is None:
+        return None
+    cells = box_cells(box)
+    return state.h[cells].copy(), state.hu[cells].copy(), state.hv[cells].copy()
+
+
+def _grow(state: State, region, saved, box):
+    """``region`` grown to hold ``box``, with ``saved`` extended to match.
+
+    Cells outside ``region`` still hold U^n, so the new ones are copied from
+    the state.
+    """
+    if box is None:
+        return region, saved
+    if region is None:
+        return box, _saved(state, box)
+    r0, r1, c0, c1 = region
+    grown = (min(r0, box[0]), max(r1, box[1]), min(c0, box[2]), max(c1, box[3]))
+    if grown == region:
+        return region, saved
+    wider = _saved(state, grown)
+    old = (slice(r0 - grown[0], r1 - grown[0]), slice(c0 - grown[2], c1 - grown[2]))
+    for dst, src in zip(wider, saved):
+        dst[old] = src
+    return grown, wider

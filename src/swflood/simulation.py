@@ -299,14 +299,29 @@ class MaximaMaps:
         shape = (nrows, ncols)
         return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
-    def update(self, h, hu, hv, t: float, h_dry: float) -> None:
+    def update(self, h, hu, hv, t: float, h_dry: float, box=None) -> None:
+        """Fold the interior fields at time t in; ``box`` = (r0, r1, c0, c1)
+        limits the update to rows r0:r1 and columns c0:c1.
+
+        The run loop passes the region a step changed (StepDiagnostics.region).
+        That gives the bits of a whole-grid update: elsewhere the fields are
+        those an earlier update saw, which left max_h >= h and max_speed >=
+        speed.  ``rising`` is strict, and np.maximum resolves a +0.0/-0.0 tie
+        the same way each time, so the maps and the times stay as they are.
+        """
+        if box is not None:
+            cells = (slice(box[0], box[1]), slice(box[2], box[3]))
+            h, hu, hv = h[cells], hu[cells], hv[cells]
+        else:
+            cells = (slice(None), slice(None))
+        max_h, max_speed = self.max_h[cells], self.max_speed[cells]
         u = velocity(h, hu, h_dry)
         v = velocity(h, hv, h_dry)
         speed = np.hypot(u, v)
-        rising = h > self.max_h
-        self.time_of_max_h[rising] = t
-        np.maximum(self.max_h, h, out=self.max_h)
-        np.maximum(self.max_speed, speed, out=self.max_speed)
+        rising = h > max_h
+        self.time_of_max_h[cells][rising] = t
+        np.maximum(max_h, h, out=max_h)
+        np.maximum(max_speed, speed, out=max_speed)
 
 
 @dataclass
@@ -531,8 +546,9 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
             fallbacks += diag.critical_inflow_fallbacks
 
             current = engine.gather()
-            maxima.update(current.h[INT], current.hu[INT], current.hv[INT],
-                          t, params.h_dry)
+            if diag.region is not None:
+                maxima.update(current.h[INT], current.hu[INT], current.hv[INT],
+                              t, params.h_dry, diag.region)
             last_good, last_good_t = current, t
 
             if t in snapshot_times:

@@ -29,10 +29,15 @@ phase may run in any order.  This is bitwise exact: every kernel is
 elementwise, a strip reads the same stencil values a whole-box pass reads,
 and the per-strip results (edge flux lines, minimum depths, the first
 failure) are reduced in strip order once every task of the phase has
-returned.  The depth check keeps its whole-box form: a non-finite value
+returned.  The depth check keeps its whole-grid form: a non-finite value
 anywhere aborts first, a too-negative depth aborts naming the first cell
 holding the box minimum, and a roundoff-negative minimum clamps the whole
-box.
+interior, which also rewrites -0.0 depths outside the box to +0.0.
+
+The rest of a step is as lean (see partition.BlockEngine.step): the wave
+speed reduces over the first stage's box, and the saved copy of U^n, the
+Heun average and the depth minimum cover only the region the two stages
+change.  Each gives the bits of its whole-grid form, as its docstring shows.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ POSITIVITY_TOL = 1.0e-12
 # the GIL between the worker threads after only a few microseconds of work.
 _STRIP_CELLS = 16384
 
+# Default of the ``box`` arguments: no box was given, which differs from the
+# None box of a state with no live cell.
+_UNSET = object()
+
 
 class NumericalAbort(RuntimeError):
     """Unrecoverable numerical failure (NaN, negative depth, dt collapse)."""
@@ -68,6 +77,9 @@ class StepDiagnostics:
     inflow_volume: float = 0.0
     outflow_volume: float = 0.0
     critical_inflow_fallbacks: int = 0
+    # Interior rows r0:r1 and columns c0:c1 holding every cell the step
+    # changed, as (r0, r1, c0, c1); None when it changed none.
+    region: tuple | None = None
 
 
 @dataclass
@@ -192,19 +204,27 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     return l_h, l_hu, l_hv, edges
 
 
-def max_wave_speed(state: State, params: PhysicalParams) -> float:
+def max_wave_speed(state: State, params: PhysicalParams, box=_UNSET) -> float:
     """max(|u| + sqrt(g h), |v| + sqrt(g h)) over wet cells; 0 if all dry.
 
     Ghost strips participate so boundary-driven waves (a discharge inflow
     onto a dry bed, say) bound the time step; corner ghosts never feed a
-    flux and are skipped.
+    flux and are skipped.  Given the state's active box, the reduction
+    covers only the box's padded extent: every wet cell, ghosts included, is
+    live and so lies inside it, and a maximum over a superset of the wet
+    cells is exact.  A None box has no live cell, so no wet one.
     """
+    if box is None:
+        return 0.0
     nr, nc = state.h.shape
+    r0, r1, c0, c1 = (0, nr, 0, nc) if box is _UNSET else (
+        box[0], box[1] + 2 * GHOSTS, box[2], box[3] + 2 * GHOSTS)
+    inner = slice(max(r0, GHOSTS), min(r1, nr - GHOSTS))
     best = 0.0
     for rows, cols in (
-        (slice(None), slice(GHOSTS, nc - GHOSTS)),
-        (slice(GHOSTS, nr - GHOSTS), slice(0, GHOSTS)),
-        (slice(GHOSTS, nr - GHOSTS), slice(nc - GHOSTS, None)),
+        (slice(r0, r1), slice(max(c0, GHOSTS), min(c1, nc - GHOSTS))),
+        (inner, slice(c0, min(c1, GHOSTS))),
+        (inner, slice(max(c0, nc - GHOSTS), c1)),
     ):
         h = state.h[rows, cols]
         wet = h > params.h_dry
@@ -280,11 +300,12 @@ def _check_and_zero_dry(h, hu, hv, h_dry, context) -> float:
     return float(h.min())
 
 
-def _clamp_depth(h, min_h, context, origin=(0, 0)) -> float:
-    """Clamp roundoff-negative depths of ``h`` in place; worse ones abort.
+def _clamp_depth(h, min_h, context, origin, interior) -> float:
+    """Clamp roundoff-negative depths of the ``interior`` in place; worse ones abort.
 
-    ``min_h`` is the min of ``h``; ``origin`` is the interior cell of its
-    first element, for the error message.  Returns ``min_h``.
+    ``min_h`` is the interior's minimum, found in ``h``, a box of it whose
+    first element is interior cell ``origin``; a depth too negative aborts
+    naming the first cell of ``h`` holding it.  Returns ``min_h``.
     """
     if min_h < -POSITIVITY_TOL:
         r, c = np.unravel_index(int(np.argmin(h)), h.shape)
@@ -293,8 +314,24 @@ def _clamp_depth(h, min_h, context, origin=(0, 0)) -> float:
             f"after {context}"
         )
     if min_h < 0.0:
-        np.maximum(h, 0.0, out=h)
+        np.maximum(interior, 0.0, out=interior)
     return min_h
+
+
+def box_cells(box):
+    """Padded-array index of the interior cells of ``box`` = (r0, r1, c0, c1)."""
+    r0, r1, c0, c1 = box
+    return slice(r0 + GHOSTS, r1 + GHOSTS), slice(c0 + GHOSTS, c1 + GHOSTS)
+
+
+def interior_min(state: State, box, box_min: float) -> float:
+    """The interior's minimum depth, given ``box_min``, the minimum over ``box``.
+
+    Cells outside the box are not live, so they hold depth +0.0 or -0.0.
+    """
+    if (box[1] - box[0], box[3] - box[2]) == (state.nrows, state.ncols):
+        return box_min
+    return min(box_min, 0.0)
 
 
 def active_box(state: State):
@@ -321,18 +358,21 @@ def active_box(state: State):
 
 
 def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
-                         map=map) -> StageFluxes:
+                         map=map, box=_UNSET) -> StageFluxes:
     """Advance the state in place by one Euler hyperbolic substep plus friction.
 
     Only the active box is evaluated; every cell outside it keeps its bits,
     which the module docstring shows is what a full-grid stage gives.  Both
     phases run one task per row strip through the order-preserving ``map``.
+    A caller that has found the active box since the last ghost fill passes
+    it as ``box``; otherwise the stage finds it.
     """
     edges = StageFluxes(
         west=np.zeros(state.nrows), east=np.zeros(state.nrows),
         north=np.zeros(state.ncols), south=np.zeros(state.ncols),
     )
-    box = active_box(state)
+    if box is _UNSET:
+        box = active_box(state)
     if box is None:
         edges.min_h = 0.0
         return edges
@@ -378,24 +418,40 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
         return min_h
 
     min_h = min(_run_strips(map, update, _strips(r1 - r0, c1 - c0 + 2 * GHOSTS)))
-    # Depths are clamped over the whole box once any is negative, as one
-    # whole-box pass would; a depth too negative aborts naming its first cell.
-    inner = (slice(r0 + GHOSTS, r1 + GHOSTS), cols)
-    edges.min_h = _clamp_depth(state.h[inner], min_h, "hyperbolic stage", origin=(r0, c0))
-    if (r1 - r0, c1 - c0) != (state.nrows, state.ncols):
-        # Cells outside the box are dry and hold depth 0.
-        edges.min_h = min(edges.min_h, 0.0)
+    # Once any depth is negative the whole interior is clamped, as one
+    # whole-grid pass would; a depth too negative aborts naming its first cell.
+    edges.min_h = _clamp_depth(state.h[box_cells(box)], interior_min(state, box, min_h),
+                               "hyperbolic stage", (r0, c0), state.h[INT])
     return edges
 
 
-def combine_heun(state: State, h_n, hu_n, hv_n, params: PhysicalParams) -> None:
-    """U^(n+1) = (U^n + U2) / 2, preserving nonnegativity and dry momentum."""
-    state.h[INT] = 0.5 * (h_n + state.h[INT])
-    state.hu[INT] = 0.5 * (hu_n + state.hu[INT])
-    state.hv[INT] = 0.5 * (hv_n + state.hv[INT])
-    min_h = _check_and_zero_dry(state.h[INT], state.hu[INT], state.hv[INT], params.h_dry,
+def combine_heun(state: State, saved, box, params: PhysicalParams):
+    """U^(n+1) = (U^n + U2) / 2 over ``box``, preserving nonnegativity and dry momentum.
+
+    ``box`` bounds every cell the two stages changed and ``saved`` holds
+    U^n = (h, hu, hv) over it.  Outside it U2 is U^n bit for bit and no cell
+    is live (h = +-0, hu = hv = +0), so 0.5 * (x + x) == x and the dry reset
+    changes nothing: a whole-grid pass leaves those cells as they are.  Every
+    non-finite cell is live, so the finiteness check misses none.  The depth
+    rules keep their whole-grid form: the minimum counts the zero depths
+    outside the box, a too-negative depth aborts naming its first cell, and
+    a roundoff-negative minimum clamps the whole interior, which rewrites
+    -0.0 depths outside the box to +0.0.  Returns the region the average
+    changed: ``box``, or the whole interior when the clamp ran.
+    """
+    if box is None:
+        return None
+    cells = box_cells(box)
+    h_n, hu_n, hv_n = saved
+    state.h[cells] = 0.5 * (h_n + state.h[cells])
+    state.hu[cells] = 0.5 * (hu_n + state.hu[cells])
+    state.hv[cells] = 0.5 * (hv_n + state.hv[cells])
+    h = state.h[cells]
+    min_h = _check_and_zero_dry(h, state.hu[cells], state.hv[cells], params.h_dry,
                                 "Heun average")
-    _clamp_depth(state.h[INT], min_h, "Heun average")
+    min_h = _clamp_depth(h, interior_min(state, box, min_h), "Heun average",
+                         (box[0], box[2]), state.h[INT])
+    return box if min_h >= 0.0 else (0, state.nrows, 0, state.ncols)
 
 
 def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,

@@ -9,6 +9,7 @@ so v > 0 means flow toward larger row indices.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,10 @@ class PhysicalParams:
     friction_full_velocity: bool = False  # couple friction through |q| magnitude
 
     def __post_init__(self):
+        for name in ("g", "manning_n", "h_dry", "cfl", "dt_min", "dt_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if self.manning_n < 0:

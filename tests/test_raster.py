@@ -1,8 +1,13 @@
 """Tests for the ASCII grid reader/writer and the RasterGrid container."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from swflood import raster
 from swflood.features import ClassifiedFeature, FeatureKind
 from swflood.raster import (
     RasterGrid,
@@ -196,3 +201,53 @@ def test_copy_is_independent():
     c = g.copy()
     c.values[0, 0] = 7.0
     assert g.values[0, 0] == 0.0
+
+
+def ref_write_ascii_grid(grid, precision=6):
+    """The writer that formatted every value with its own format() call."""
+    nodata_str = f"{grid.nodata:.17g}"
+    out = [
+        f"ncols {grid.ncols}",
+        f"nrows {grid.nrows}",
+        f"xllcorner {grid.xll:.17g}",
+        f"yllcorner {grid.yll:.17g}",
+        f"cellsize {grid.cellsize:.17g}",
+        f"NODATA_value {nodata_str}",
+    ]
+    # Python floats format and compare faster than numpy scalars, same bytes.
+    spec = f".{precision}g"
+    nodata = grid.nodata
+    for row in grid.values:
+        out.append(" ".join(
+            [nodata_str if v == nodata else format(v, spec) for v in row.tolist()]
+        ))
+    return "\n".join(out) + "\n"
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                  1e300, -1e300, 1.7976931348623157e308, 0.1, -123456.789, 1e16, 9.5]
+
+
+@st.composite
+def grids(draw):
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    nodata = draw(st.sampled_from([-9999.0, 0.0, -0.0, 1e300, 3.5]))
+    cell = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(SPECIAL_VALUES + [nodata]),
+    )
+    values = np.array(draw(st.lists(cell, min_size=nrows * ncols, max_size=nrows * ncols)),
+                      dtype=np.float64).reshape(nrows, ncols)
+    return RasterGrid(ncols, nrows, draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6)),
+                      draw(st.floats(1e-3, 1e3)), nodata, values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grids(), st.integers(1, 17), st.sampled_from([1, 5, 12, 16384]))
+@example(make_grid([[-0.0, 5e-324, -1e300, 1e300, -9999.0]]), 1, 16384)
+@example(make_grid([[0.5], [-9999.0], [-0.0]]), 17, 2)
+def test_block_formats_write_the_bytes_of_one_format_per_value(grid, precision, cells):
+    # Small blocks put several of them, with and without nodata, in one grid.
+    with patch.object(raster, "_FORMAT_CELLS", cells):
+        assert write_ascii_grid(grid, precision) == ref_write_ascii_grid(grid, precision)

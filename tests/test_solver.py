@@ -61,6 +61,13 @@ def test_params_validation_and_cfl_warning():
         PhysicalParams(cfl=50.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["g", "manning_n", "h_dry", "cfl", "dt_min", "dt_max"])
+def test_params_reject_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        PhysicalParams(**{name: value})
+
+
 def test_state_copy_is_independent():
     st = lake(depth=1.0)
     cp = st.copy()
