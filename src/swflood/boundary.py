@@ -174,12 +174,15 @@ def _fill_edge(state: State, edge: str, cond: EdgeCondition, t: float,
             arr[1, cols] = arr[2, cols]
         return 0
 
-    # WALL mirror, also the base fill for unmasked DISCHARGE cells.
+    # WALL mirror, also the base fill for unmasked DISCHARGE cells.  On a grid
+    # one cell thick, row 3 is the opposite edge's ghost row, so the outer
+    # layer mirrors the last interior row instead.
+    outer = GHOSTS + min(1, h.shape[0] - 2 * GHOSTS - 1)
     for arr in (h, z, qt):
         arr[1, cols] = arr[2, cols]
-        arr[0, cols] = arr[3, cols]
+        arr[0, cols] = arr[outer, cols]
     qn[1, cols] = -qn[2, cols]
-    qn[0, cols] = -qn[3, cols]
+    qn[0, cols] = -qn[outer, cols]
     if cond.kind is EdgeKind.WALL:
         return 0
 

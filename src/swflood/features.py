@@ -6,13 +6,16 @@ Feature files hold one feature per line::
 
 where KIND is POINT, LINE or POLYGON.  Polygon rings must be explicitly
 closed (first vertex equal to last); turning nearly-closed lines into
-polygons is a separate step (:func:`close_lines`).
+polygons is a separate step (:func:`close_lines`).  Coordinates are the
+tokens Python's ``float()`` accepts; numpy's text parser converts them a
+block of lines at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +26,14 @@ class FeatureKind(enum.Enum):
     POINT = "POINT"
     LINE = "LINE"
     POLYGON = "POLYGON"
+
+
+_KINDS = {kind.value: kind for kind in FeatureKind}
+
+# Lines per block of parse_features, which makes one numpy conversion per
+# block.  Blocks this small keep the parse's peak memory at that of the
+# features it returns; larger ones were no faster.
+_BLOCK_LINES = 256
 
 
 class FeatureParseError(ValueError):
@@ -62,53 +73,104 @@ def parse_features(source) -> list[ClassifiedFeature]:
     """Parse a feature file from a string or open text stream.
 
     Blank lines and ``#`` comments are skipped.  Errors report the 1-based
-    line number of the offending record.
+    line number of the offending record; the first error in file order wins.
+    The vertices of each block of lines are converted by one numpy call into
+    a (V, 3) array whose slices become the features' vertices, or record by
+    record with ``float()`` when numpy refuses the block.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-
     features = []
-    for lineno, raw in enumerate(source, start=1):
+    numbered = enumerate(source, start=1)
+    while block := list(itertools.islice(numbered, _BLOCK_LINES)):
+        _parse_block(block, features)
+    return features
+
+
+def _parse_block(block: list[tuple[int, str]], features: list[ClassifiedFeature]) -> None:
+    """Append the features of a block of numbered lines to ``features``."""
+    records = []
+    error = None
+    for lineno, raw in block:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(";")
         if len(parts) != 3:
-            raise FeatureParseError(
+            error = FeatureParseError(
                 f"line {lineno}: expected 'class;KIND;vertices', got {len(parts)} fields"
             )
-        cls_tok, kind_tok, verts_tok = (p.strip() for p in parts)
+            break
+        cls_tok, kind_tok, verts_tok = map(str.strip, parts)
         try:
             class_id = int(cls_tok)
         except ValueError:
-            raise FeatureParseError(f"line {lineno}: bad class id {cls_tok!r}") from None
-        try:
-            kind = FeatureKind(kind_tok.upper())
-        except ValueError:
-            raise FeatureParseError(f"line {lineno}: unknown kind {kind_tok!r}") from None
+            error = FeatureParseError(f"line {lineno}: bad class id {cls_tok!r}")
+            break
+        kind = _KINDS.get(kind_tok.upper())
+        if kind is None:
+            error = FeatureParseError(f"line {lineno}: unknown kind {kind_tok!r}")
+            break
+        records.append((lineno, class_id, kind, verts_tok.split(",")))
 
-        vertices = []
-        for vi, vtok in enumerate(verts_tok.split(",")):
-            comps = vtok.split()
-            if len(comps) != 3:
-                raise FeatureParseError(
-                    f"line {lineno}: vertex {vi} must be 'x y z', got {vtok.strip()!r}"
-                )
-            try:
-                xyz = tuple(float(c) for c in comps)
-            except ValueError:
-                raise FeatureParseError(
-                    f"line {lineno}: non-numeric coordinate in vertex {vi}: {vtok.strip()!r}"
-                ) from None
-            if not all(math.isfinite(c) for c in xyz):
-                raise FeatureParseError(f"line {lineno}: non-finite coordinate in vertex {vi}")
-            vertices.append(xyz)
-
+    # A structural error raises only after the records before it have
+    # passed their numeric and vertex-count checks.
+    coords = _bulk_vertices([vtok for record in records for vtok in record[3]])
+    start = 0
+    for lineno, class_id, kind, vtoks in records:
+        if coords is None:
+            vertices = _vertices(lineno, vtoks)
+        else:
+            vertices = coords[start : start + len(vtoks)]
+            start += len(vtoks)
         try:
-            features.append(ClassifiedFeature(class_id, kind, np.array(vertices)))
+            features.append(ClassifiedFeature(class_id, kind, vertices))
         except ValueError as exc:
             raise FeatureParseError(f"line {lineno}: {exc}") from None
-    return features
+    if error is not None:
+        raise error
+
+
+def _bulk_vertices(vtoks: list[str]) -> np.ndarray | None:
+    """The vertex strings as the rows of one (V, 3) array, or None if refused.
+
+    numpy's parser splits on the whitespace ``str.split`` splits on and
+    converts what ``float()`` converts, but refuses some spellings ``float()``
+    accepts (``1_000``, non-ASCII digits) and a line break inside a string.
+    It skips blank strings, so the shape check catches an empty vertex as
+    well as one with 2 or 4 values.
+    """
+    # Blank vertex strings only would make loadtxt warn of no data.
+    if not any(map(str.strip, vtoks)):
+        return None
+    try:
+        coords = np.loadtxt(vtoks, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if coords.shape != (len(vtoks), 3) or not np.isfinite(coords).all():
+        return None
+    return coords
+
+
+def _vertices(lineno: int, vtoks: list[str]) -> np.ndarray:
+    """One record's vertices converted with ``float()``, naming the first bad one."""
+    vertices = []
+    for vi, vtok in enumerate(vtoks):
+        comps = vtok.split()
+        if len(comps) != 3:
+            raise FeatureParseError(
+                f"line {lineno}: vertex {vi} must be 'x y z', got {vtok.strip()!r}"
+            )
+        try:
+            xyz = tuple(float(c) for c in comps)
+        except ValueError:
+            raise FeatureParseError(
+                f"line {lineno}: non-numeric coordinate in vertex {vi}: {vtok.strip()!r}"
+            ) from None
+        if not all(math.isfinite(c) for c in xyz):
+            raise FeatureParseError(f"line {lineno}: non-finite coordinate in vertex {vi}")
+        vertices.append(xyz)
+    return np.array(vertices)
 
 
 def read_class_selection(source) -> set[int]:

@@ -5,12 +5,18 @@ NODATA_value) followed by ``nrows`` lines of ``ncols`` whitespace-separated
 values, row 0 being the northernmost row.  Header keys are case-insensitive
 and must appear in the order above; ``xllcenter``/``yllcenter`` are accepted
 and converted to the corner convention.
+
+Data values are the tokens Python's ``float()`` accepts.  The reader converts
+blocks of rows with numpy's text parser; a block that parser refuses is read
+again row by row with ``float()``, which gives the same values or names the
+first malformed token.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import uuid
 from dataclasses import dataclass, field
@@ -20,11 +26,11 @@ import numpy as np
 
 DEFAULT_NODATA = -9999.0
 
-# Values per %-format call of write_ascii_grid.  One string per row left the
-# heap of a 1000x1000 write about 4.6 MB larger at its peak than one string
-# per value did; blocks of this size keep the per-value peak at the per-row
-# speed.
-_FORMAT_CELLS = 16384
+# Values per block of rows: per %-format call of write_ascii_grid and per
+# bulk conversion of read_ascii_grid.  One string per row left the heap of a
+# 1000x1000 write about 4.6 MB larger at its peak than one string per value
+# did; blocks of this size keep the per-value peak at the per-row speed.
+_BLOCK_CELLS = 16384
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -133,7 +139,39 @@ def read_ascii_grid(source) -> RasterGrid:
     except (MemoryError, ValueError):
         raise RasterParseError(f"a {nrows}x{ncols} grid is too large to hold") from None
     row = 0
-    for line in source:
+    step = max(1, _BLOCK_CELLS // ncols)
+    while lines := list(itertools.islice(source, step)):
+        row = _read_rows(lines, values, row)
+    if row != nrows:
+        raise RasterParseError(f"got {row} data rows, expected {nrows}")
+
+    try:
+        return RasterGrid(ncols, nrows, xll, yll, cellsize, nodata, values)
+    except ValueError as exc:
+        raise RasterParseError(str(exc)) from None
+
+
+def _read_rows(lines: list[str], values: np.ndarray, row: int) -> int:
+    """Convert a block of data lines into ``values[row:]``; returns the next row.
+
+    numpy's parser splits on the whitespace ``str.split`` splits on and
+    converts what ``float()`` converts, but refuses some spellings ``float()``
+    accepts (``1_000``, non-ASCII digits) and any line break inside a line.
+    So a block it refuses, or that holds the wrong count of values or a
+    non-finite one, is converted again row by row with ``float()``.
+    """
+    nrows, ncols = values.shape
+    count = sum(1 for line in lines if not line.isspace())
+    if count and row + count <= nrows:
+        try:
+            block = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            block = None
+        if block is not None and block.shape == (count, ncols) and np.isfinite(block).all():
+            values[row : row + count] = block
+            return row + count
+
+    for line in lines:
         tokens = line.split()
         if not tokens:
             continue
@@ -155,13 +193,7 @@ def read_ascii_grid(source) -> RasterGrid:
                         f"non-numeric value {tok!r} at row {row}, col {col}"
                     ) from None
         row += 1
-    if row != nrows:
-        raise RasterParseError(f"got {row} data rows, expected {nrows}")
-
-    try:
-        return RasterGrid(ncols, nrows, xll, yll, cellsize, nodata, values)
-    except ValueError as exc:
-        raise RasterParseError(str(exc)) from None
+    return row
 
 
 def write_ascii_grid(grid: RasterGrid, precision: int = 6) -> str:
@@ -187,7 +219,7 @@ def write_ascii_grid(grid: RasterGrid, precision: int = 6) -> str:
     spec = f".{precision}g"
     row_format = " ".join([f"%{spec}"] * grid.ncols)
     nodata = grid.nodata
-    step = max(1, _FORMAT_CELLS // grid.ncols)
+    step = max(1, _BLOCK_CELLS // grid.ncols)
     for r0 in range(0, grid.nrows, step):
         block = grid.values[r0 : r0 + step]
         if not (block == nodata).any():

@@ -113,6 +113,55 @@ def test_fills_leave_corner_ghosts_untouched():
         np.testing.assert_array_equal(st.h[block], sentinel)
 
 
+def edge_ghosts(st):
+    """Every ghost cell outside the four corner blocks."""
+    ghost = np.ones(st.h.shape, dtype=bool)
+    ghost[INT] = False
+    ghost[:GHOSTS, :GHOSTS] = ghost[:GHOSTS, -GHOSTS:] = False
+    ghost[-GHOSTS:, :GHOSTS] = ghost[-GHOSTS:, -GHOSTS:] = False
+    return [arr[ghost].copy() for arr in (st.h, st.hu, st.hv, st.z)]
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (2, 3)])
+@pytest.mark.parametrize("kind", ["wall", "free_outflow", "discharge"])
+def test_ghost_fill_is_a_function_of_the_interior(shape, kind):
+    # On a grid one cell thick the outer ghost layer of an edge lies next to
+    # the opposite edge's ghosts; it must still be mirrored from the interior.
+    rng = np.random.default_rng(21)
+    st = State(*shape, 1.0, 1.0, rng.uniform(0.0, 0.3, size=shape))
+    st.h[INT] = rng.uniform(0.5, 2.0, size=shape)
+    st.hu[INT] = rng.uniform(-1.0, 1.0, size=shape)
+    st.hv[INT] = rng.uniform(-1.0, 1.0, size=shape)
+    edge = {"wall": wall, "free_outflow": free_outflow}.get(kind)
+    if edge is None:
+        # Inflow on the first cell of two edges; the rest of each is a wall.
+        spec = BoundarySpec(discharge(lambda t: 0.5 + t, [0]), wall(), wall(),
+                            discharge(lambda t: 0.25, [0]))
+    else:
+        spec = BoundarySpec(edge(), edge(), edge(), edge())
+    interior = [arr[INT].copy() for arr in (st.h, st.hu, st.hv, st.z)]
+
+    apply_boundaries(st, spec, 0.3, PARAMS)
+    first = edge_ghosts(st)
+    apply_boundaries(st, spec, 0.3, PARAMS)
+    for got, want in zip(edge_ghosts(st), first):
+        np.testing.assert_array_equal(got, want)
+
+    for arr in (st.h, st.hu, st.hv, st.z):
+        saved = arr[INT].copy()
+        arr[...] = rng.uniform(-50.0, 50.0, size=arr.shape)
+        arr[INT] = saved
+    apply_boundaries(st, spec, 0.3, PARAMS)
+    for got, want in zip(edge_ghosts(st), first):
+        np.testing.assert_array_equal(got, want)
+    for arr, want in zip((st.h, st.hu, st.hv, st.z), interior):
+        np.testing.assert_array_equal(arr[INT], want)
+    if kind == "wall" and shape[0] == 1:
+        # Both north ghost rows mirror the single interior row.
+        np.testing.assert_array_equal(st.h[0, GHOSTS:-GHOSTS], st.h[GHOSTS, GHOSTS:-GHOSTS])
+        np.testing.assert_array_equal(st.hv[0, GHOSTS:-GHOSTS], -st.hv[GHOSTS, GHOSTS:-GHOSTS])
+
+
 # --------------------------------------------------------------------------
 # Riemann inflow state
 # --------------------------------------------------------------------------

@@ -235,6 +235,47 @@ def test_run_on_a_non_finite_number_exits_one_without_traceback(tmp_path, file, 
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("file, old, new, message", [
+    ("dtm.asc", "12 13 14 15", "12 1_000 14 0x", "non-numeric value '0x' at row 3, col 3"),
+    ("features.txt", "1.5 1.5 7", "1.5 1.5 7,", "line 1: vertex 1 must be 'x y z', got ''"),
+    ("classes.txt", "10", "ten", "line 1: bad class id 'ten'"),
+], ids=["dtm", "features", "classes"])
+def test_build_dsm_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, old,
+                                                                     new, message):
+    dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.arange(16.0).reshape(4, 4))
+    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm))
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
+    (tmp_path / "classes.txt").write_text("10\n")
+    path = tmp_path / file
+    path.write_text(path.read_text().replace(old, new))
+    proc = run_cli_process(["build-dsm",
+                            "--dtm", str(tmp_path / "dtm.asc"),
+                            "--features", str(tmp_path / "features.txt"),
+                            "--classes", str(tmp_path / "classes.txt"),
+                            "--out", str(tmp_path / "d.asc")])
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.asc").exists()
+
+
+@pytest.mark.parametrize("file, old, new, message", [
+    ("scenario.cfg", "spinup_q = 0.5", "spinup_q: 0.5", "scenario.cfg:6: expected 'key = value', got 'spinup_q: 0.5'"),
+    ("riverbed.txt", "4 0", "4 west", "line 2: bad cell index in '4 west'"),
+    ("hydro.txt", "5 2.0", "5 2.0 7", "hydrograph line 2: expected 't Q'"),
+], ids=["config", "riverbed-mask", "hydrograph"])
+def test_run_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, old, new,
+                                                              message):
+    cfg = write_scenario(tmp_path)
+    path = tmp_path / file
+    path.write_text(path.read_text().replace(old, new))
+    proc = run_cli_process(["run", "--config", str(cfg)])
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_validate_workflow_stdout_and_file(tmp_path, capsys):
     assert main(["validate", "--case", "lake-at-rest", "--n", "16"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for the ASCII grid reader/writer and the RasterGrid container."""
 
+import io
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from swflood import raster
 from swflood.features import ClassifiedFeature, FeatureKind
 from swflood.raster import (
+    _HEADER_KEYS,
     RasterGrid,
     RasterParseError,
     load_raster,
@@ -249,5 +252,221 @@ def grids(draw):
 @example(make_grid([[0.5], [-9999.0], [-0.0]]), 17, 2)
 def test_block_formats_write_the_bytes_of_one_format_per_value(grid, precision, cells):
     # Small blocks put several of them, with and without nodata, in one grid.
-    with patch.object(raster, "_FORMAT_CELLS", cells):
+    with patch.object(raster, "_BLOCK_CELLS", cells):
         assert write_ascii_grid(grid, precision) == ref_write_ascii_grid(grid, precision)
+
+
+# --------------------------------------------------------------------------
+# Bulk reading against the per-row reader
+# --------------------------------------------------------------------------
+
+
+def ref_read_ascii_grid(source):
+    """The reader that converted each data row with one float() per token."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+
+    header = {}
+    for expect in _HEADER_KEYS:
+        line = source.readline()
+        if not line:
+            raise RasterParseError(f"unexpected end of header, expected '{expect}' line")
+        parts = line.split()
+        if len(parts) != 2:
+            raise RasterParseError(f"malformed header line {line.strip()!r}")
+        key = parts[0].lower()
+        accepted = {expect}
+        if expect == "xllcorner":
+            accepted.add("xllcenter")
+        elif expect == "yllcorner":
+            accepted.add("yllcenter")
+        if key not in accepted:
+            raise RasterParseError(f"expected header key '{expect}', got {parts[0]!r}")
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise RasterParseError(f"non-numeric header value in line {line.strip()!r}") from None
+
+    for key in ("ncols", "nrows"):
+        value = header[key]
+        # NaN fails the comparison; the finiteness test keeps int() off inf.
+        if not (value >= 1 and np.isfinite(value) and value == int(value)):
+            raise RasterParseError(
+                f"ncols/nrows must be finite positive integers, got {key} {value:g}"
+            )
+    ncols = int(header["ncols"])
+    nrows = int(header["nrows"])
+    cellsize = header["cellsize"]
+    if not cellsize > 0:
+        raise RasterParseError(f"cellsize must be positive, got {cellsize}")
+
+    # Center-registered origins shift by half a cell to the corner convention.
+    if "xllcenter" in header:
+        xll = header["xllcenter"] - cellsize / 2.0
+    else:
+        xll = header["xllcorner"]
+    if "yllcenter" in header:
+        yll = header["yllcenter"] - cellsize / 2.0
+    else:
+        yll = header["yllcorner"]
+    nodata = header["nodata_value"]
+
+    try:
+        values = np.empty((nrows, ncols), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise RasterParseError(f"a {nrows}x{ncols} grid is too large to hold") from None
+    row = 0
+    for line in source:
+        tokens = line.split()
+        if not tokens:
+            continue
+        if row >= nrows:
+            raise RasterParseError(f"too many data rows, expected {nrows}")
+        if len(tokens) != ncols:
+            raise RasterParseError(
+                f"data row {row} has {len(tokens)} values, expected {ncols}"
+            )
+        try:
+            values[row] = list(map(float, tokens))
+        except ValueError:
+            # Rescan the bad row only, to name the first offending token.
+            for col, tok in enumerate(tokens):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise RasterParseError(
+                        f"non-numeric value {tok!r} at row {row}, col {col}"
+                    ) from None
+        row += 1
+    if row != nrows:
+        raise RasterParseError(f"got {row} data rows, expected {nrows}")
+
+    try:
+        return RasterGrid(ncols, nrows, xll, yll, cellsize, nodata, values)
+    except ValueError as exc:
+        raise RasterParseError(str(exc)) from None
+
+
+# Spellings float() accepts, some of which numpy's text parser refuses.
+ODD_TOKENS = [".5", "+.5", "5.", "-0", "-0.0", "+0", "0e0", "1E-5", "5e-324", "-5e-324",
+              "1e-310", "1e300", "-1e300", "1e400", "1.7976931348623157e308", "inf",
+              "-inf", "+inf", "Infinity", "-INF", "nan", "-nan", "NaN", "1_000", "١٢",
+              "١.٥"]
+# Spellings float() refuses.
+BAD_TOKENS = ["x", "NaN(1)", "nan()", "#", "#1", "1,5", "0x10", "1e", "--1", "1d3", "\x00",
+              "1.5j", ""]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"]
+BLANK_LINES = ["\n", "   \n", "\t\r\n", " \x0c \n"]
+
+
+@st.composite
+def numeric_tokens(draw, extra=()):
+    choice = draw(st.integers(0, 9))
+    if choice == 9:
+        return draw(st.sampled_from(ODD_TOKENS + list(extra)))
+    if choice == 8:
+        return repr(draw(st.sampled_from(SPECIAL_VALUES)))
+    tok = format(draw(st.floats(-1e306, 1e306)),
+                 f".{draw(st.integers(1, 17))}g")
+    if choice == 7 and not tok.startswith("-"):
+        tok = "+" + tok
+    return tok
+
+
+def join_tokens(draw, tokens):
+    """One line of text: tokens apart by drawn whitespace, with a drawn ending."""
+    text = draw(st.sampled_from(["", " ", "\t"]))
+    for i, tok in enumerate(tokens):
+        if i:
+            text += draw(st.sampled_from(SEPARATORS))
+        text += tok
+    return text + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def raster_texts(draw):
+    """ASCII grid text, well formed or mangled in up to two places."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 6))
+    nodata = draw(st.sampled_from(["-9999", "-9999.0", "0", "-0.0", "1e300", "inf"]))
+    rows = [[draw(numeric_tokens(extra=[nodata])) for _ in range(ncols)] for _ in range(nrows)]
+    carriage_returns = set()
+    for mangle in draw(st.lists(
+            st.sampled_from(["bad", "shift", "extra", "missing", "cr"]), max_size=2)):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        if mangle == "bad" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif mangle == "shift" and len(rows) > 1:
+            # A short row and a long row whose lengths sum to the right total.
+            other = draw(st.integers(0, len(rows) - 1).filter(lambda i: i != r))
+            if rows[r]:
+                rows[other].append(rows[r].pop())
+        elif mangle == "extra":
+            rows.insert(r, [draw(numeric_tokens()) for _ in range(ncols)])
+        elif mangle == "missing":
+            del rows[r]
+        elif mangle == "cr":
+            carriage_returns.add(r)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = (f"ncols {ncols}{ending}nrows {nrows}{ending}xllcorner 0.5{ending}"
+            f"yllcorner -2{ending}cellsize 1.5{ending}NODATA_value {nodata}{ending}")
+    for r, tokens in enumerate(rows):
+        while draw(st.integers(0, 4)) == 4:
+            text += draw(st.sampled_from(BLANK_LINES))
+        line = join_tokens(draw, tokens)
+        if r in carriage_returns:
+            line = line.replace(" ", "\r", 1)
+        text += line + ending
+    while draw(st.integers(0, 4)) == 4:
+        text += draw(st.sampled_from(BLANK_LINES))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def read_outcome(read, text, as_stream):
+    """The grid's header and value bytes, or the exception's type and message.
+
+    A warning counts as an exception.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = read(io.StringIO(text) if as_stream else text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (g.ncols, g.nrows, g.xll, g.yll, g.cellsize, np.float64(g.nodata).tobytes(),
+            g.values.dtype, g.values.shape, g.values.tobytes())
+
+
+SMALL_ROWS = "ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+
+@settings(max_examples=600, deadline=None)
+@given(raster_texts(), st.sampled_from([1, 5, 12, 30, 16384]), st.booleans())
+@example(SMALL_ROWS + "1 2\n3 4\n5 6\n", 4, False)
+@example(SMALL_ROWS + "1 2\n3 4 5\n6\n", 16384, True)
+@example(SMALL_ROWS + "1 2\n3 x\n5 y\n7 8\n", 16384, False)
+@example(SMALL_ROWS + "1 2\n3 4\n5 6\n7 8\n", 2, False)
+@example(SMALL_ROWS + "1_000 2\n\n3 4\r5 6\n", 16384, True)
+@example(SMALL_ROWS + "\n \n\t\n1 2\n3 4\n5 6", 1, True)
+def test_bulk_read_matches_the_per_row_reader(text, cells, as_stream):
+    # Small blocks put rows, blank lines and errors on every side of a block edge.
+    with patch.object(raster, "_BLOCK_CELLS", cells):
+        got = read_outcome(read_ascii_grid, text, as_stream)
+    assert got == read_outcome(ref_read_ascii_grid, text, as_stream)
+
+
+@pytest.mark.parametrize("token, value", [("1_000", 1000.0), ("١٢", 12.0), ("+.5", 0.5)])
+def test_read_keeps_every_spelling_float_accepts(token, value):
+    g = read_ascii_grid(SMALL.replace("1 2 3", f"1 {token} 3"))
+    assert g.values[0, 1] == value
+
+
+@pytest.mark.parametrize("token", ["NaN(1)", "#", "0x10", "1e"])
+def test_read_names_a_token_float_refuses(token):
+    with pytest.raises(RasterParseError) as info:
+        read_ascii_grid(SMALL.replace("4 -9999 6", f"4 -9999 {token}"))
+    assert str(info.value) == f"non-numeric value {token!r} at row 1, col 2"
