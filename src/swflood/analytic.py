@@ -1,7 +1,7 @@
 """Closed-form 1D shallow-water solutions used as verification oracles.
 
 Provides lake-at-rest equilibria, the Ritter (dry-bed) and Stoker (wet-bed)
-dam-break solutions, an exact Riemann solver sampled at the interface, and
+dam-break solutions, an exact Riemann solver sampled at any xi = x/t, and
 discrete error norms.  All evaluators are pure functions.
 """
 
@@ -240,16 +240,6 @@ def exact_riemann_sample(h_l, u_l, h_r, u_r, g, xi: float = 0.0):
         c = (xi - u_r + 2.0 * c_r) / 3.0
         return c * c / g, xi - c
     return h_s, u_s
-
-
-def physical_flux_point(h: float, u: float, g: float):
-    return h * u, h * u * u + 0.5 * g * h * h
-
-
-def exact_riemann_flux(h_l, u_l, h_r, u_r, g):
-    """Physical flux of the exact Riemann solution at the interface (xi = 0)."""
-    h, u = exact_riemann_sample(h_l, u_l, h_r, u_r, g, 0.0)
-    return physical_flux_point(h, u, g)
 
 
 def error_norms(numeric, exact, dx: float):

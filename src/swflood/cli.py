@@ -14,7 +14,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import validate as validation
@@ -38,28 +37,6 @@ class _Parser(argparse.ArgumentParser):
     # numerical aborts here, so turn them into exceptions instead.
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class BuildDsmCommand:
-    dtm: Path
-    features: Path
-    classes: Path
-    out: Path
-    close_tolerance: float = 0.1
-
-
-@dataclass(frozen=True)
-class RunCommand:
-    config: Path
-    blocks: int | None = None
-
-
-@dataclass(frozen=True)
-class ValidateCommand:
-    case: str
-    n: int
-    report: Path | None = None
 
 
 def _build_parser() -> _Parser:
@@ -93,20 +70,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv):
+def parse_args(argv) -> argparse.Namespace:
     ns = _build_parser().parse_args(argv)
-    if ns.command == "build-dsm":
-        if ns.close_tolerance < 0:
-            raise UsageError("--close-tolerance must be nonnegative")
-        return BuildDsmCommand(ns.dtm, ns.features, ns.classes, ns.out,
-                               ns.close_tolerance)
-    if ns.command == "run":
-        if ns.blocks is not None and ns.blocks < 1:
-            raise UsageError("--blocks must be at least 1")
-        return RunCommand(ns.config, ns.blocks)
-    if ns.n < 10:
+    if ns.command == "build-dsm" and ns.close_tolerance < 0:
+        raise UsageError("--close-tolerance must be nonnegative")
+    if ns.command == "run" and ns.blocks is not None and ns.blocks < 1:
+        raise UsageError("--blocks must be at least 1")
+    if ns.command == "validate" and ns.n < 10:
         raise UsageError("--n must be at least 10")
-    return ValidateCommand(ns.case, ns.n, ns.report)
+    return ns
 
 
 def _resolve_blocks(flag: int | None) -> int:
@@ -124,27 +96,29 @@ def _resolve_blocks(flag: int | None) -> int:
     return 1
 
 
-def _execute(cmd) -> int:
-    if isinstance(cmd, BuildDsmCommand):
-        dtm = load_raster(cmd.dtm)
-        features = parse_features(Path(cmd.features).read_text())
-        class_ids = read_class_selection(Path(cmd.classes).read_text())
+def _execute(ns: argparse.Namespace) -> int:
+    if ns.command == "build-dsm":
+        dtm = load_raster(ns.dtm)
+        with open(ns.features, encoding="utf-8") as fh:
+            features = parse_features(fh)
+        with open(ns.classes, encoding="utf-8") as fh:
+            class_ids = read_class_selection(fh)
         dsm = build_dsm(dtm, features, class_ids,
-                        close_tolerance=cmd.close_tolerance)
-        save_raster(cmd.out, dsm)
-        logger.info("DSM written to %s", cmd.out)
+                        close_tolerance=ns.close_tolerance)
+        save_raster(ns.out, dsm)
+        logger.info("DSM written to %s", ns.out)
         return 0
-    if isinstance(cmd, RunCommand):
-        scenario = load_scenario(cmd.config)
-        result = run(scenario, blocks=_resolve_blocks(cmd.blocks))
+    if ns.command == "run":
+        scenario = load_scenario(ns.config)
+        result = run(scenario, blocks=_resolve_blocks(ns.blocks))
         logger.info("outputs in %s", result.output_dir)
         return 0
-    _, csv_text = validation.report(cmd.case, cmd.n)
-    if cmd.report is None:
+    _, csv_text = validation.report(ns.case, ns.n)
+    if ns.report is None:
         sys.stdout.write(csv_text)
     else:
-        Path(cmd.report).write_text(csv_text)
-        logger.info("report written to %s", cmd.report)
+        ns.report.write_text(csv_text)
+        logger.info("report written to %s", ns.report)
     return 0
 
 
@@ -156,7 +130,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        cmd = parse_args(argv)
+        ns = parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"swflood: error: {exc}\n")
         return 1
@@ -164,7 +138,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return _execute(cmd)
+        return _execute(ns)
     except NumericalAbort as exc:
         logger.error("numerical abort: %s", exc)
         return 2

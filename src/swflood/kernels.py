@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_H_DRY = 1.0e-10
-
 
 def minmod(x, y):
     """Slope limiter: min(x, y) if both >= 0, max(x, y) if both <= 0, else 0.
@@ -27,13 +25,13 @@ def minmod(x, y):
     return np.where(lo >= 0, lo, np.where(hi <= 0, hi, 0.0))
 
 
-def muscl_reconstruct(s_prev, s_i, s_next, dx=1.0):
+def muscl_reconstruct(s_prev, s_i, s_next):
     """Limited linear traces of a cell value at its two faces.
 
     Returns (s_minus, s_plus) = s_i -/+ (dx/2) * Ds_i with the minmod slope
     Ds_i = minmod((s_i - s_prev)/dx, (s_next - s_i)/dx).  The dx factors
-    cancel, so the traces are computed from plain neighbor differences; the
-    mean (s_minus + s_plus)/2 equals s_i.
+    cancel, so the traces are computed from plain neighbor differences and
+    take no dx; the mean (s_minus + s_plus)/2 equals s_i.
     """
     s_i = np.asarray(s_i, dtype=np.float64)
     half = 0.5 * minmod(s_i - s_prev, np.asarray(s_next, dtype=np.float64) - s_i)
@@ -46,7 +44,7 @@ def muscl_slope(s_prev, s_i, s_next, dx):
     return minmod(s_i - s_prev, np.asarray(s_next, dtype=np.float64) - s_i) / dx
 
 
-def velocity_reconstruct(u_i, h_i, h_minus, h_plus, du, dx, h_dry=DEFAULT_H_DRY):
+def velocity_reconstruct(u_i, h_i, h_minus, h_plus, du, dx, h_dry):
     """Velocity traces weighted so the cell discharge is conserved.
 
     The face opposite each trace supplies the depth weight:

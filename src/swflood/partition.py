@@ -1,13 +1,13 @@
-"""Shared-memory parallel stepping: worker threads over row strips of one state.
+"""The time step: worker threads over row strips of one state.
 
-BlockEngine.step is the package's one time step, and the serial
-solver.rk2_step is a one-thread step.  The engine advances the caller's
-State in place for any thread count: every stage fills the ghosts once on
-the whole state, then solver.euler_friction_stage runs its two phases, the
-residual of each row strip and then the update, friction and dry reset of
-each strip, through the engine's order-preserving map.  Per-strip results
-are reduced in strip order after every task of a phase has returned, so the
-stepped fields and diagnostics are bitwise identical for any thread count.
+BlockEngine.step is the package's one time step, and rk2_step is that step
+on one thread.  The engine advances the caller's State in place for any
+thread count: every stage fills the ghosts once on the whole state, then
+solver.euler_friction_stage runs its two phases, the residual of each row
+strip and then the update, friction and dry reset of each strip, through
+the engine's order-preserving map.  Per-strip results are reduced in strip
+order after every task of a phase has returned, so the stepped fields and
+diagnostics are bitwise identical for any thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .solver import (
     active_box,
     box_cells,
     combine_heun,
+    compute_dt,
     dt_from_wave_speed,
     euler_friction_stage,
     interior_min,
@@ -36,7 +37,7 @@ class BlockEngine:
     """Steps one state in place, its stage strips spread over ``nblocks`` threads.
 
     With one thread the strips run in order on the calling thread, with no
-    worker pool and no os.cpu_count() call; solver.rk2_step is that step.
+    worker pool and no os.cpu_count() call; rk2_step is that step.
     With more, a pool of min(nblocks, os.cpu_count()) threads takes the
     strips of each phase as a work list, so a strip that is wet costs its
     share and a dry region costs nothing on any thread.  Each stage advances
@@ -76,16 +77,14 @@ class BlockEngine:
 
     def _stage(self, dt: float, diag: StepDiagnostics, box) -> None:
         state = self.state
-        edges = euler_friction_stage(state, self.params, dt, self._map, box)
+        edges = euler_friction_stage(state, self.params, dt, box, self._map)
         diag.min_h = min(diag.min_h, edges.min_h)
         accumulate_edge_volumes(diag, edges, state.dx, state.dy, 0.5 * dt)
 
     def compute_dt(self, t: float) -> float:
-        """CFL time step at time t."""
+        """CFL time step at time t: solver.compute_dt after a ghost fill at t."""
         apply_boundaries(self.state, self.spec, t, self.params)
-        return dt_from_wave_speed(
-            max_wave_speed(self.state, self.params), self.state.dx, self.state.dy, self.params
-        )
+        return compute_dt(self.state, self.params)
 
     def step(self, t: float, dt: float | None = None) -> StepDiagnostics:
         """One Heun step of the state.
@@ -130,6 +129,16 @@ class BlockEngine:
     def gather(self) -> State:
         """A copy of the current state."""
         return self.state.copy()
+
+
+def rk2_step(state: State, params: PhysicalParams, boundary_spec: BoundarySpec,
+             t: float, dt: float | None = None) -> StepDiagnostics:
+    """One full time step of ``state``, in place: a one-thread BlockEngine step.
+
+    Boundaries are re-applied before each residual.  A flat lake at rest is a
+    bitwise fixed point.
+    """
+    return BlockEngine(state, params, boundary_spec).step(t, dt)
 
 
 def _saved(state: State, box):

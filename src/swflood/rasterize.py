@@ -41,8 +41,6 @@ from .raster import RasterGrid
 
 logger = logging.getLogger(__name__)
 
-CellValue = tuple[tuple[int, int], float]
-
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, rank) of each item when owner i holds counts[i] items."""
@@ -213,7 +211,9 @@ def _raise(values: np.ndarray, nodata: float, rows, cols, z) -> None:
     """Raise values[rows, cols] to z in place where z is higher.
 
     The result is that of ``if z > value: value = z`` over the contributions
-    in order.  Contributions on nodata cells are skipped with a warning.
+    in order: never lower than before and, up to the sign of a zero,
+    independent of their order.  Contributions on nodata cells are skipped
+    with a warning.
     """
     base = values[rows, cols]
     on_data = base != nodata
@@ -230,30 +230,6 @@ def _raise(values: np.ndarray, nodata: float, rows, cols, z) -> None:
         first = zero[np.unique(cell, return_index=True)[1]]
         first = first[values[rows[first], cols[first]] == 0.0]
         values[rows[first], cols[first]] = z[first]
-
-
-def rasterize_feature(feature: ClassifiedFeature, template: RasterGrid) -> list[CellValue]:
-    """Map a feature to ((row, col), z) contributions on the template grid.
-
-    Cells outside the grid are dropped.  A cell may appear several times with
-    different z; extrusion resolves overlaps by maximum.
-    """
-    rows, cols, z = _contributions([feature], template)
-    return [((r, c), v) for r, c, v in zip(rows.tolist(), cols.tolist(), z.tolist())]
-
-
-def extrude(dtm: RasterGrid, cells: list[CellValue]) -> RasterGrid:
-    """Raise the terrain by feature heights: DSM = cellwise max(DTM, feature z).
-
-    Contributions on nodata terrain cells are skipped with a warning.  The
-    result is independent of contribution order, up to the sign of a zero,
-    and never lower than the DTM.
-    """
-    dsm = dtm.copy()
-    rows = np.array([cell[0] for cell, _ in cells], dtype=np.intp)
-    cols = np.array([cell[1] for cell, _ in cells], dtype=np.intp)
-    _raise(dsm.values, dsm.nodata, rows, cols, np.array([z for _, z in cells], dtype=np.float64))
-    return dsm
 
 
 def build_dsm(

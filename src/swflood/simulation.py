@@ -407,6 +407,8 @@ def load_checkpoint(path, state: State, params: PhysicalParams, identity: bytes 
             )
         raise ConfigError(f"{path} is not a checkpoint file")
     offset = len(CHECKPOINT_MAGIC)
+    if len(blob) < offset + 32 + _HEADER.size:
+        raise ConfigError(f"checkpoint {path} is truncated inside its header")
     digest = blob[offset : offset + 32]
     if digest != _config_digest(params, state, identity):
         raise ConfigError(
@@ -479,12 +481,23 @@ def _write_grid(path: Path, template: RasterGrid, values: np.ndarray,
         fh.write(write_ascii_grid(grid, precision=precision))
 
 
+def _stamp_format(snapshot_times) -> str:
+    """Format spec of the times in snapshot file names.
+
+    Whole seconds zero-padded to six digits, unless two snapshots would share
+    a name; then the fewest decimals that give every snapshot its own.
+    """
+    decimals = 0
+    while len({f"{t:.{decimals}f}" for t in snapshot_times}) < len(snapshot_times):
+        decimals += 1
+    return f"0{7 + decimals if decimals else 6}.{decimals}f"
+
+
 def _write_snapshot(outdir: Path, template: RasterGrid, state: State,
-                    t: float, params: PhysicalParams, tag: str = "") -> None:
+                    stamp: str, params: PhysicalParams) -> None:
     h = state.h[INT]
     u = velocity(h, state.hu[INT], params.h_dry)
     v = velocity(h, state.hv[INT], params.h_dry)
-    stamp = f"{tag}{int(round(t)):06d}"
     for name, values in (("h", h), ("u", u), ("v", v)):
         _write_grid(outdir / f"{name}_{stamp}.asc", template, values)
 
@@ -503,6 +516,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     outdir = Path(scenario.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     events, snapshot_times = _event_schedule(scenario)
+    stamp = _stamp_format(snapshot_times)
     identity = _scenario_identity(scenario, spec)
 
     if checkpoint_time is not None:
@@ -552,7 +566,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
             last_good, last_good_t = current, t
 
             if t in snapshot_times:
-                _write_snapshot(outdir, grid, current, t, params)
+                _write_snapshot(outdir, grid, current, format(t, stamp), params)
             if checkpoint_time is not None and t == checkpoint_time:
                 save_checkpoint(checkpoint_path, current, params, t, step,
                                 maxima, balance, fallbacks, identity)
@@ -560,7 +574,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     except NumericalAbort as exc:
         status = "aborted"
         logger.error("numerical abort at step %d, t = %.6f: %s", step + 1, t, exc)
-        _write_snapshot(outdir, grid, last_good, last_good_t, params, tag="abort_")
+        _write_snapshot(outdir, grid, last_good, "abort_" + format(last_good_t, stamp), params)
         balance.final_volume = last_good.total_volume()
         _write_summary(outdir, status, step, last_good_t, balance, fallbacks, blocks)
         raise

@@ -5,9 +5,9 @@ One step runs a two-stage Heun (TVD-RK2) update.  Each stage evaluates the
 spatial residual built from MUSCL traces, the hydrostatic interface
 reconstruction and HLLC fluxes plus interface and centered momentum sources,
 then applies the semi-implicit friction update.  Depth stays nonnegative and
-dry cells carry no momentum after every stage.  This module holds the stage;
-the step sequence lives once, in partition.BlockEngine.step, and rk2_step is
-that step on one thread, which advances the given state in place.
+dry cells carry no momentum after every stage.  This module holds the stage
+and the CFL time step; the step sequence lives once, in the partition
+module, as BlockEngine.step and its one-thread form rk2_step.
 
 A stage works only on its active box: the bounding box of the padded cells
 with non-zero h, hu or hv, grown by the stencil radius GHOSTS and clipped to
@@ -59,10 +59,6 @@ POSITIVITY_TOL = 1.0e-12
 # faster on one thread and scale worse on several: each numpy call then hands
 # the GIL between the worker threads after only a few microseconds of work.
 _STRIP_CELLS = 16384
-
-# Default of the ``box`` arguments: no box was given, which differs from the
-# None box of a state with no live cell.
-_UNSET = object()
 
 
 class NumericalAbort(RuntimeError):
@@ -133,8 +129,8 @@ def _axis_residual(h, un, ut, z, dx, g, h_dry):
     w = h + z
 
     hc = h[:, 1:-1]
-    h_m, h_p = kernels.muscl_reconstruct(h[:, :-2], hc, h[:, 2:], dx)
-    w_m, w_p = kernels.muscl_reconstruct(w[:, :-2], w[:, 1:-1], w[:, 2:], dx)
+    h_m, h_p = kernels.muscl_reconstruct(h[:, :-2], hc, h[:, 2:])
+    w_m, w_p = kernels.muscl_reconstruct(w[:, :-2], w[:, 1:-1], w[:, 2:])
     du = kernels.muscl_slope(un[:, :-2], un[:, 1:-1], un[:, 2:], dx)
     dv = kernels.muscl_slope(ut[:, :-2], ut[:, 1:-1], ut[:, 2:], dx)
     u_m, u_p = kernels.velocity_reconstruct(un[:, 1:-1], hc, h_m, h_p, du, dx, h_dry)
@@ -204,21 +200,21 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     return l_h, l_hu, l_hv, edges
 
 
-def max_wave_speed(state: State, params: PhysicalParams, box=_UNSET) -> float:
-    """max(|u| + sqrt(g h), |v| + sqrt(g h)) over wet cells; 0 if all dry.
+def max_wave_speed(state: State, params: PhysicalParams, box) -> float:
+    """max(|u| + sqrt(g h), |v| + sqrt(g h)) over the wet cells of ``box``; 0 if none.
 
-    Ghost strips participate so boundary-driven waves (a discharge inflow
-    onto a dry bed, say) bound the time step; corner ghosts never feed a
-    flux and are skipped.  Given the state's active box, the reduction
-    covers only the box's padded extent: every wet cell, ghosts included, is
-    live and so lies inside it, and a maximum over a superset of the wet
-    cells is exact.  A None box has no live cell, so no wet one.
+    The reduction covers the padded extent of the interior box, ghosts
+    included, so boundary-driven waves (a discharge inflow onto a dry bed,
+    say) bound the time step; corner ghosts never feed a flux and are
+    skipped.  Given the state's active box it is the whole-grid maximum:
+    every wet cell, ghosts included, is live and so lies inside the box, and
+    a maximum over a superset of the wet cells is exact.  A None box has no
+    live cell, so no wet one.
     """
     if box is None:
         return 0.0
     nr, nc = state.h.shape
-    r0, r1, c0, c1 = (0, nr, 0, nc) if box is _UNSET else (
-        box[0], box[1] + 2 * GHOSTS, box[2], box[3] + 2 * GHOSTS)
+    r0, r1, c0, c1 = box[0], box[1] + 2 * GHOSTS, box[2], box[3] + 2 * GHOSTS
     inner = slice(max(r0, GHOSTS), min(r1, nr - GHOSTS))
     best = 0.0
     for rows, cols in (
@@ -251,7 +247,15 @@ def dt_from_wave_speed(speed: float, dx: float, dy: float, params: PhysicalParam
 
 
 def compute_dt(state: State, params: PhysicalParams) -> float:
-    return dt_from_wave_speed(max_wave_speed(state, params), state.dx, state.dy, params)
+    """CFL time step from the wave speed over the whole padded grid.
+
+    The whole interior box (0, nrows, 0, ncols) has the padded extent of
+    rows 0:NR and columns 0:NC, where NR = nrows + 2*GHOSTS and NC likewise,
+    so max_wave_speed reads rows 0:NR of the interior columns GHOSTS:NC-GHOSTS,
+    and rows GHOSTS:NR-GHOSTS of the ghost columns 0:GHOSTS and NC-GHOSTS:NC.
+    """
+    box = (0, state.nrows, 0, state.ncols)
+    return dt_from_wave_speed(max_wave_speed(state, params, box), state.dx, state.dy, params)
 
 
 def friction_step(h_star, q_star, h_n, q_n, dt, params: PhysicalParams, q_mag=None):
@@ -358,21 +362,18 @@ def active_box(state: State):
 
 
 def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
-                         map=map, box=_UNSET) -> StageFluxes:
+                         box, map=map) -> StageFluxes:
     """Advance the state in place by one Euler hyperbolic substep plus friction.
 
-    Only the active box is evaluated; every cell outside it keeps its bits,
+    ``box`` is the state's active box, found after the last ghost fill (see
+    active_box).  Only it is evaluated; every cell outside it keeps its bits,
     which the module docstring shows is what a full-grid stage gives.  Both
     phases run one task per row strip through the order-preserving ``map``.
-    A caller that has found the active box since the last ghost fill passes
-    it as ``box``; otherwise the stage finds it.
     """
     edges = StageFluxes(
         west=np.zeros(state.nrows), east=np.zeros(state.nrows),
         north=np.zeros(state.ncols), south=np.zeros(state.ncols),
     )
-    if box is _UNSET:
-        box = active_box(state)
     if box is None:
         edges.min_h = 0.0
         return edges
@@ -464,15 +465,3 @@ def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,
         q_in = inward * line * width
         diag.inflow_volume += float(np.maximum(q_in, 0.0).sum()) * weight
         diag.outflow_volume += float(np.maximum(-q_in, 0.0).sum()) * weight
-
-
-def rk2_step(state: State, params: PhysicalParams, boundary_spec, t: float,
-             dt: float | None = None) -> StepDiagnostics:
-    """One full time step of ``state``, in place: a one-thread BlockEngine step.
-
-    Boundaries are re-applied before each residual.  A flat lake at rest is a
-    bitwise fixed point.
-    """
-    from .partition import BlockEngine  # partition imports this module
-
-    return BlockEngine(state, params, boundary_spec).step(t, dt)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import analytic
 from .boundary import BoundarySpec, apply_boundaries
-from .solver import compute_dt, rk2_step
+from .partition import rk2_step
+from .solver import compute_dt
 from .state import INT, PhysicalParams, State
 
 STRIP_ROWS = 3

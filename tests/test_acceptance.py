@@ -18,11 +18,11 @@ import numpy as np
 from swflood import kernels, solver
 from swflood.boundary import BoundarySpec, apply_boundaries, discharge, riemann_inflow, wall
 from swflood.features import parse_features
-from swflood.partition import BlockEngine
+from swflood.partition import BlockEngine, rk2_step
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.rasterize import build_dsm
 from swflood.simulation import load_scenario, run
-from swflood.solver import compute_dt, friction_step, rk2_step
+from swflood.solver import compute_dt, friction_step
 from swflood.state import INT, PhysicalParams, State, velocity
 from swflood.validate import (
     build_case,
@@ -214,9 +214,10 @@ def test_velocity_traces_conserve_cell_discharge():
     h_prev, h_i, h_next = rng.uniform(0.05, 5.0, size=(3, n))
     sign = rng.choice([-1.0, 1.0], size=(3, n))
     u_prev, u_i, u_next = sign * rng.uniform(0.1, 5.0, size=(3, n))
-    h_minus, h_plus = kernels.muscl_reconstruct(h_prev, h_i, h_next, dx)
+    h_minus, h_plus = kernels.muscl_reconstruct(h_prev, h_i, h_next)
     du = kernels.muscl_slope(u_prev, u_i, u_next, dx)
-    u_minus, u_plus = kernels.velocity_reconstruct(u_i, h_i, h_minus, h_plus, du, dx)
+    u_minus, u_plus = kernels.velocity_reconstruct(u_i, h_i, h_minus, h_plus, du, dx,
+                                                   PARAMS.h_dry)
     lhs = h_minus * u_minus + h_plus * u_plus
     rhs = 2.0 * h_i * u_i
     assert (np.abs(lhs - rhs) <= 1e-13 * np.abs(rhs)).all()

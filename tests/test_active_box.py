@@ -14,8 +14,8 @@ import pytest
 
 from swflood import solver
 from swflood.boundary import BoundarySpec, apply_boundaries, discharge, free_outflow, wall
-from swflood.partition import BlockEngine
-from swflood.solver import euler_friction_stage, rk2_step
+from swflood.partition import BlockEngine, rk2_step
+from swflood.solver import euler_friction_stage
 from swflood.state import GHOSTS, INT, PhysicalParams, State
 
 PARAMS = PhysicalParams(manning_n=0.03)
@@ -151,7 +151,7 @@ def test_stage_leaves_cells_outside_the_active_box_bit_for_bit():
     assert solver.active_box(st) == (1, 8, 2, 10)
 
     before = [arr.view(np.uint64).copy() for arr in (st.h, st.hu, st.hv)]
-    euler_friction_stage(st, PARAMS, 0.05)
+    euler_friction_stage(st, PARAMS, 0.05, solver.active_box(st))
     outside = np.ones(st.h.shape, dtype=bool)
     outside[GHOSTS + 1:GHOSTS + 8, GHOSTS + 2:GHOSTS + 10] = False
     for old, arr in zip(before, (st.h, st.hu, st.hv)):
@@ -168,7 +168,7 @@ def test_dry_cells_with_momentum_are_live():
     st.hu[INT][6, 9] = 0.0
     st.hv[INT][0, 0] = -0.0  # the stage rewrites it to +0.0
     assert solver.active_box(st) == (0, 3, 0, 3)
-    euler_friction_stage(st, PARAMS, 0.1)
+    euler_friction_stage(st, PARAMS, 0.1, solver.active_box(st))
     assert not np.signbit(st.hv[INT][0, 0])
 
 
@@ -177,7 +177,7 @@ def test_an_all_dry_block_does_nothing(monkeypatch):
     st = State(6, 5, 1.0, 1.0, np.linspace(0.0, 1.0, 30).reshape(6, 5))
     calls = []
     monkeypatch.setattr(solver, "residual_arrays", lambda *args: calls.append(args))
-    edges = euler_friction_stage(st, PARAMS, 0.1)
+    edges = euler_friction_stage(st, PARAMS, 0.1, solver.active_box(st))
     assert calls == []
     assert edges.min_h == 0.0
     for line, size in ((edges.west, 6), (edges.east, 6), (edges.north, 5), (edges.south, 5)):

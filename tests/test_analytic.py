@@ -7,17 +7,24 @@ import pytest
 
 from swflood.analytic import (
     error_norms,
-    exact_riemann_flux,
     exact_riemann_sample,
     lake_at_rest_case,
     parabolic_bump,
-    physical_flux_point,
     ritter_solution,
     stoker_middle_state,
     stoker_solution,
 )
 
 G = 9.81
+
+
+def physical_flux_point(h, u, g):
+    return h * u, h * u * u + 0.5 * g * h * h
+
+
+def exact_riemann_flux(h_l, u_l, h_r, u_r, g):
+    """Physical flux of the exact Riemann solution at the interface (xi = 0)."""
+    return physical_flux_point(*exact_riemann_sample(h_l, u_l, h_r, u_r, g, 0.0), g)
 
 
 # --------------------------------------------------------------------------

@@ -8,15 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swflood.cli import (
-    BuildDsmCommand,
-    RunCommand,
-    UsageError,
-    ValidateCommand,
-    _resolve_blocks,
-    main,
-    parse_args,
-)
+from swflood.cli import UsageError, _resolve_blocks, main, parse_args
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.simulation import ConfigError
 
@@ -27,18 +19,17 @@ from swflood.simulation import ConfigError
 
 
 def test_parse_run_command():
-    cmd = parse_args(["run", "--config", "s.cfg", "--blocks", "4"])
-    assert cmd == RunCommand(config=cmd.config, blocks=4)
-    assert str(cmd.config) == "s.cfg"
+    ns = parse_args(["run", "--config", "s.cfg", "--blocks", "4"])
+    assert vars(ns) == {"command": "run", "config": Path("s.cfg"), "blocks": 4}
     assert parse_args(["run", "--config", "s.cfg"]).blocks is None
 
 
 def test_parse_build_dsm_command():
-    cmd = parse_args(["build-dsm", "--dtm", "a.asc", "--features", "f.txt",
-                      "--classes", "c.txt", "--out", "d.asc"])
-    assert isinstance(cmd, BuildDsmCommand)
-    assert (str(cmd.dtm), str(cmd.features)) == ("a.asc", "f.txt")
-    assert cmd.close_tolerance == 0.1
+    ns = parse_args(["build-dsm", "--dtm", "a.asc", "--features", "f.txt",
+                     "--classes", "c.txt", "--out", "d.asc"])
+    assert vars(ns) == {"command": "build-dsm", "dtm": Path("a.asc"),
+                        "features": Path("f.txt"), "classes": Path("c.txt"),
+                        "out": Path("d.asc"), "close_tolerance": 0.1}
     custom = parse_args(["build-dsm", "--dtm", "a.asc", "--features", "f.txt",
                          "--classes", "c.txt", "--out", "d.asc",
                          "--close-tolerance", "0.25"])
@@ -46,8 +37,8 @@ def test_parse_build_dsm_command():
 
 
 def test_parse_validate_command():
-    cmd = parse_args(["validate", "--case", "ritter", "--n", "400"])
-    assert cmd == ValidateCommand(case="ritter", n=400, report=None)
+    ns = parse_args(["validate", "--case", "ritter", "--n", "400"])
+    assert vars(ns) == {"command": "validate", "case": "ritter", "n": 400, "report": None}
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ g/2 = 4.905 for the pressure term.
 import numpy as np
 import pytest
 
-from swflood.analytic import exact_riemann_flux, ritter_solution
+from swflood.analytic import exact_riemann_sample, ritter_solution
 from swflood.kernels import (
     centered_source,
     hllc_flux,
@@ -20,6 +20,7 @@ from swflood.kernels import (
 )
 
 G = 9.81
+H_DRY = 1.0e-10
 
 
 # --------------------------------------------------------------------------
@@ -77,14 +78,14 @@ def test_muscl_traces_stay_between_neighbors():
 def test_velocity_traces_hand_example():
     # u=1, h=2, face depths (1.5, 2.5), du=0.5, dx=2:
     #   step = 0.5*2*0.5/2 = 0.25; u- = 1 - 2.5*0.25; u+ = 1 + 1.5*0.25.
-    u_minus, u_plus = velocity_reconstruct(1.0, 2.0, 1.5, 2.5, 0.5, 2.0)
+    u_minus, u_plus = velocity_reconstruct(1.0, 2.0, 1.5, 2.5, 0.5, 2.0, H_DRY)
     assert (u_minus, u_plus) == (0.375, 1.375)
     # Face discharges sum to twice the cell discharge: 1.5*0.375 + 2.5*1.375 = 4.
     assert 1.5 * u_minus + 2.5 * u_plus == 4.0
 
 
 def test_velocity_traces_zero_on_dry_cells():
-    u_minus, u_plus = velocity_reconstruct(3.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+    u_minus, u_plus = velocity_reconstruct(3.0, 0.0, 0.0, 0.0, 1.0, 1.0, H_DRY)
     assert (u_minus, u_plus) == (0.0, 0.0)
 
 
@@ -95,7 +96,7 @@ def test_velocity_discharge_identity_random():
     du = rng.uniform(-2.0, 2.0, size=300)
     dh = rng.uniform(-0.05, 0.05, size=300) * h
     h_minus, h_plus = h - dh, h + dh
-    u_minus, u_plus = velocity_reconstruct(u, h, h_minus, h_plus, du, 1.0)
+    u_minus, u_plus = velocity_reconstruct(u, h, h_minus, h_plus, du, 1.0, H_DRY)
     lhs = h_minus * u_minus + h_plus * u_plus
     np.testing.assert_allclose(lhs, 2.0 * h * u, rtol=1e-13, atol=1e-15)
 
@@ -175,7 +176,8 @@ def test_hll_matches_exact_riemann_on_resolved_dam_front():
     centers = 0.5 * (x_faces[:-1] + x_faces[1:])
     h, u = ritter_solution(centers, t, 0.0, 1.0, G)
     fh, _ = hllc_flux(h[0], u[0], 0.0, h[1], u[1], 0.0, G)[:2]
-    fh_exact, _ = exact_riemann_flux(1.0, 0.0, 0.0, 0.0, G)
+    h_exact, u_exact = exact_riemann_sample(1.0, 0.0, 0.0, 0.0, G)
+    fh_exact = h_exact * u_exact
     assert fh_exact == pytest.approx(0.9283, abs=5e-4)
     assert fh == pytest.approx(fh_exact, rel=0.01)
 

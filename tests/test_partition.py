@@ -9,8 +9,7 @@ import pytest
 
 from swflood import partition, solver
 from swflood.boundary import BoundarySpec, discharge, free_outflow, wall
-from swflood.partition import BlockEngine
-from swflood.solver import rk2_step
+from swflood.partition import BlockEngine, rk2_step
 from swflood.state import INT, PhysicalParams, State
 
 PARAMS = PhysicalParams()

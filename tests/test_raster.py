@@ -20,7 +20,7 @@ from swflood.raster import (
     save_raster,
     write_ascii_grid,
 )
-from swflood.rasterize import rasterize_feature
+from swflood.rasterize import _contributions
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0):
@@ -190,7 +190,8 @@ def test_cell_of_maps_world_to_row_col():
 
     def cells(x, y):
         point = ClassifiedFeature(1, FeatureKind.POINT, np.array([[x, y, 1.0]]))
-        return [cell for cell, _ in rasterize_feature(point, g)]
+        rows, cols, _ = _contributions([point], g)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     assert cells(10.5, 20.5) == [(1, 0)]  # south-west corner cell
     assert cells(15.9, 23.9) == [(0, 2)]  # north-east corner cell

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from swflood.features import ClassifiedFeature, FeatureKind, close_lines, select_classes
 from swflood.raster import RasterGrid
-from swflood.rasterize import build_dsm, extrude, rasterize_feature
+from swflood.rasterize import _contributions, _raise, build_dsm
 
 # The array core divides only on the lanes it keeps: no masked-out lane may
 # warn of a division by zero or an invalid value.
@@ -30,6 +30,20 @@ def feat(kind, *xyz, class_id=1):
     return ClassifiedFeature(class_id, kind, np.array(xyz, dtype=float))
 
 
+def contributions(feature, grid):
+    """[((row, col), z)] of one feature, in the order _contributions gives them."""
+    rows, cols, z = _contributions([feature], grid)
+    return [((r, c), v) for r, c, v in zip(rows.tolist(), cols.tolist(), z.tolist())]
+
+
+def raised(dtm, cells):
+    """The DTM values raised through _raise by [((row, col), z)] contributions."""
+    values = dtm.values.copy()
+    rows, cols = np.array([cell for cell, _ in cells], dtype=np.intp).reshape(-1, 2).T
+    _raise(values, dtm.nodata, rows, cols, np.array([z for _, z in cells], dtype=np.float64))
+    return values
+
+
 def cells_of(contribs):
     return {cell for cell, _ in contribs}
 
@@ -40,17 +54,17 @@ def cells_of(contribs):
 
 
 def test_point_lands_in_its_cell():
-    out = rasterize_feature(feat(FeatureKind.POINT, (2.5, 1.5, 7.0)), GRID5)
+    out = contributions(feat(FeatureKind.POINT, (2.5, 1.5, 7.0)), GRID5)
     assert out == [((3, 2), 7.0)]
 
 
 def test_point_outside_grid_is_dropped():
-    assert rasterize_feature(feat(FeatureKind.POINT, (-1.0, 2.0, 7.0)), GRID5) == []
+    assert contributions(feat(FeatureKind.POINT, (-1.0, 2.0, 7.0)), GRID5) == []
 
 
 def test_horizontal_line_covers_four_cells():
     # (0.5,0.5)->(3.5,0.5): bottom row (row 4), cols 0..3, constant z.
-    out = rasterize_feature(feat(FeatureKind.LINE, (0.5, 0.5, 2.0), (3.5, 0.5, 2.0)), GRID5)
+    out = contributions(feat(FeatureKind.LINE, (0.5, 0.5, 2.0), (3.5, 0.5, 2.0)), GRID5)
     assert cells_of(out) == {(4, 0), (4, 1), (4, 2), (4, 3)}
     assert all(z == 2.0 for _, z in out)
 
@@ -58,7 +72,7 @@ def test_horizontal_line_covers_four_cells():
 def test_diagonal_line_walks_without_gaps():
     # (0.5,0.5)->(2.5,1.5) crosses x=1 (t=.25), x=2 (t=.75), y=1 (t=.5);
     # sub-interval midpoints give the 4-connected chain below with z = 4t.
-    out = rasterize_feature(feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (2.5, 1.5, 4.0)), GRID5)
+    out = contributions(feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (2.5, 1.5, 4.0)), GRID5)
     assert out == [
         ((4, 0), 0.5),
         ((4, 1), 1.5),
@@ -70,7 +84,7 @@ def test_diagonal_line_walks_without_gaps():
 def test_exact_corner_crossing_bridges_both_cells():
     # (0.5,0.5)->(1.5,1.5) passes exactly through (1,1); both corner
     # neighbours are added so the cover stays 4-connected.
-    out = rasterize_feature(feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (1.5, 1.5, 4.0)), GRID5)
+    out = contributions(feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (1.5, 1.5, 4.0)), GRID5)
     assert cells_of(out) == {(4, 0), (4, 1), (3, 0), (3, 1)}
     bridge_z = [z for cell, z in out if cell in {(4, 1), (3, 0)}]
     assert bridge_z == [2.0, 2.0]  # z at the crossing itself (t = 0.5)
@@ -78,7 +92,7 @@ def test_exact_corner_crossing_bridges_both_cells():
 
 def test_line_clipped_to_grid():
     # Only the in-grid portion contributes.
-    out = rasterize_feature(feat(FeatureKind.LINE, (-2.0, 0.5, 0.0), (1.5, 0.5, 0.0)), GRID5)
+    out = contributions(feat(FeatureKind.LINE, (-2.0, 0.5, 0.0), (1.5, 0.5, 0.0)), GRID5)
     assert cells_of(out) == {(4, 0), (4, 1)}
 
 
@@ -86,7 +100,7 @@ def test_supercover_is_four_connected_on_random_segments():
     rng = np.random.default_rng(3)
     for _ in range(50):
         x0, y0, x1, y1 = rng.uniform(0.05, 4.95, size=4)
-        out = rasterize_feature(feat(FeatureKind.LINE, (x0, y0, 0.0), (x1, y1, 1.0)), GRID5)
+        out = contributions(feat(FeatureKind.LINE, (x0, y0, 0.0), (x1, y1, 1.0)), GRID5)
         cover = cells_of(out)
         assert ref_cell_at(GRID5, x0, y0) in cover
         assert ref_cell_at(GRID5, x1, y1) in cover
@@ -113,7 +127,7 @@ def test_square_polygon_fills_two_by_two_block():
         (0.25, 0.25, 3.0), (1.75, 0.25, 3.0), (1.75, 1.75, 3.0),
         (0.25, 1.75, 3.0), (0.25, 0.25, 3.0),
     )
-    out = rasterize_feature(ring, GRID5)
+    out = contributions(ring, GRID5)
     assert cells_of(out) == {(4, 0), (4, 1), (3, 0), (3, 1)}
 
 
@@ -124,7 +138,7 @@ def test_polygon_interior_takes_max_vertex_z():
         (0.25, 0.25, 1.0), (2.75, 0.25, 9.0), (2.75, 2.75, 9.0),
         (0.25, 2.75, 1.0), (0.25, 0.25, 1.0),
     )
-    out = rasterize_feature(ring, GRID5)
+    out = contributions(ring, GRID5)
     center_z = [z for cell, z in out if cell == (3, 1)]
     assert 9.0 in center_z  # the fill contribution
 
@@ -145,7 +159,7 @@ def test_fill_matches_point_in_triangle_oracle():
             FeatureKind.POLYGON,
             (ax, ay, 1.0), (bx, by, 1.0), (cx, cy, 1.0), (ax, ay, 1.0),
         )
-        filled = cells_of(rasterize_feature(ring, grid))
+        filled = cells_of(contributions(ring, grid))
 
         def side(px, py, qx, qy, x, y):
             return (qx - px) * (y - py) - (qy - py) * (x - px)
@@ -171,10 +185,8 @@ def make_dtm(values):
 
 def test_extrude_takes_cellwise_max():
     dtm = make_dtm([[1.0, 5.0], [1.0, 1.0]])
-    dsm = extrude(dtm, [((0, 0), 3.0), ((0, 1), 3.0), ((0, 0), 2.0)])
-    np.testing.assert_array_equal(dsm.values, [[3.0, 5.0], [1.0, 1.0]])
-    # input untouched
-    assert dtm.values[0, 0] == 1.0
+    values = raised(dtm, [((0, 0), 3.0), ((0, 1), 3.0), ((0, 0), 2.0)])
+    np.testing.assert_array_equal(values, [[3.0, 5.0], [1.0, 1.0]])
 
 
 def test_extrude_never_lowers_terrain():
@@ -182,8 +194,7 @@ def test_extrude_never_lowers_terrain():
     dtm = make_dtm(rng.uniform(0.0, 10.0, size=(8, 8)))
     cells = [((int(r), int(c)), float(z))
              for r, c, z in rng.uniform(0, 8, size=(50, 3))]
-    dsm = extrude(dtm, cells)
-    assert (dsm.values >= dtm.values).all()
+    assert (raised(dtm, cells) >= dtm.values).all()
 
 
 def test_extrude_is_order_independent():
@@ -191,18 +202,18 @@ def test_extrude_is_order_independent():
     dtm = make_dtm(rng.uniform(0.0, 10.0, size=(6, 6)))
     cells = [((int(r), int(c)), float(z))
              for r, c, z in rng.uniform(0, 6, size=(40, 3))]
-    base = extrude(dtm, cells).values
+    base = raised(dtm, cells)
     for _ in range(5):
         rng.shuffle(cells)
-        np.testing.assert_array_equal(extrude(dtm, cells).values, base)
+        np.testing.assert_array_equal(raised(dtm, cells), base)
 
 
 def test_extrude_skips_nodata_cells_with_warning(caplog):
     dtm = make_dtm([[1.0, -9999.0]])
     with caplog.at_level(logging.WARNING):
-        dsm = extrude(dtm, [((0, 1), 4.0), ((0, 0), 4.0)])
-    assert dsm.values[0, 1] == -9999.0
-    assert dsm.values[0, 0] == 4.0
+        values = raised(dtm, [((0, 1), 4.0), ((0, 0), 4.0)])
+    assert values[0, 1] == -9999.0
+    assert values[0, 0] == 4.0
     assert "skipped 1" in caplog.text
 
 
@@ -223,6 +234,7 @@ def test_build_dsm_selects_closes_and_extrudes():
     dsm = build_dsm(dtm, features, {30}, close_tolerance=0.1)
     assert dsm.values[3, 0] == 2.0  # interior of the closed ring
     assert dsm.values[0, 4] == 0.0  # class 99 untouched
+    assert (dtm.values == 0.0).all()  # input untouched
 
 
 def test_build_dsm_rejects_empty_selection():
@@ -449,7 +461,7 @@ def features_on(draw, grid):
 def test_rasterize_feature_matches_reference_exactly(data):
     grid = data.draw(grids())
     feature = data.draw(features_on(grid))
-    assert exact(rasterize_feature(feature, grid)) == exact(ref_rasterize_feature(feature, grid))
+    assert exact(contributions(feature, grid)) == exact(ref_rasterize_feature(feature, grid))
 
 
 @settings(max_examples=200, deadline=None)
@@ -474,7 +486,7 @@ def test_build_dsm_matches_reference_bitwise(data):
 ])
 def test_lines_on_gridlines_and_corners_match_reference(verts):
     line = feat(FeatureKind.LINE, *verts)
-    assert exact(rasterize_feature(line, GRID5)) == exact(ref_rasterize_feature(line, GRID5))
+    assert exact(contributions(line, GRID5)) == exact(ref_rasterize_feature(line, GRID5))
 
 
 def test_polygon_with_horizontal_edges_on_cell_centres_matches_reference():
@@ -483,7 +495,7 @@ def test_polygon_with_horizontal_edges_on_cell_centres_matches_reference():
     y0, y1 = 0.1 + 0.5 * 0.5, 0.1 + 3.5 * 0.5
     ring = feat(FeatureKind.POLYGON, (-3.7, y0, 1.0), (-1.0, y0, 2.0), (-1.0, y1, 3.0),
                 (-2.2, y1, 0.0), (-3.7, y0, 1.0))
-    assert exact(rasterize_feature(ring, grid)) == exact(ref_rasterize_feature(ring, grid))
+    assert exact(contributions(ring, grid)) == exact(ref_rasterize_feature(ring, grid))
 
 
 def test_nodata_terrain_skips_as_reference_does():
@@ -505,8 +517,8 @@ def test_nodata_cells_are_those_of_the_terrain():
     # higher contribution raises it further and none is counted as skipped.
     dtm = RasterGrid(1, 1, 0.0, 0.0, 1.0, 0.0, np.array([[-1.0]]))
     with Warnings("swflood.rasterize") as warned:
-        dsm = extrude(dtm, [((0, 0), 0.0), ((0, 0), 5.0)])
-    assert dsm.values[0, 0] == 5.0
+        values = raised(dtm, [((0, 0), 0.0), ((0, 0), 5.0)])
+    assert values[0, 0] == 5.0
     assert warned.messages == []
 
 
@@ -515,11 +527,11 @@ def test_signed_zero_ties_keep_the_first_contribution():
     dtm = make_dtm([[-1.0]])
     for first, second in ((-0.0, 0.0), (0.0, -0.0)):
         cells = [((0, 0), first), ((0, 0), second)]
-        assert extrude(dtm, cells).values.tobytes() == ref_extrude(dtm, cells).values.tobytes()
+        assert raised(dtm, cells).tobytes() == ref_extrude(dtm, cells).values.tobytes()
     # A contribution equal to the terrain leaves the terrain's zero.
     dtm = make_dtm([[0.0, -0.0]])
     cells = [((0, 0), -0.0), ((0, 1), 0.0)]
-    assert extrude(dtm, cells).values.tobytes() == dtm.values.tobytes()
+    assert raised(dtm, cells).tobytes() == dtm.values.tobytes()
     # Across features, the earlier feature decides, whatever its kind.
     dtm = make_dtm(np.full((2, 2), -1.0))
     wall = feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (1.5, 0.5, 0.0))

@@ -290,6 +290,21 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
         load_checkpoint(garbage, st, params)
 
 
+@pytest.mark.parametrize("length", [0, 3, 8, 20, 40, 50, 72, 103])
+def test_checkpoint_cut_inside_its_header_names_the_file(tmp_path, length):
+    # The header is the 8-byte magic, the 32-byte digest and 64 bytes of
+    # step, time, grid size and balance; a cut anywhere in it is refused.
+    st = small_state()
+    params = PhysicalParams()
+    path = tmp_path / "run.chk"
+    save_checkpoint(path, st, params, 0.0, 0, MaximaMaps.zeros(5, 6),
+                    MassBalance(initial_volume=0.0), 0)
+    cut = tmp_path / "cut.chk"
+    cut.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(ConfigError, match=str(cut)):
+        load_checkpoint(cut, st, params)
+
+
 # --------------------------------------------------------------------------
 # Event schedule
 # --------------------------------------------------------------------------
@@ -376,6 +391,30 @@ def test_run_produces_snapshots_maxima_and_summary(tmp_path):
     np.testing.assert_allclose(snap.values, res.state.h[INT], atol=1e-9)
     # maxima never fall below the final depth
     assert (res.maxima.max_h >= res.state.h[INT] - 1e-12).all()
+
+
+def test_sub_second_snapshots_each_get_their_own_files(tmp_path):
+    # Whole-second names would give t = 1.5 and t = 2.0 the same h_000002.asc.
+    def scenario(total, outdir):
+        cfg = make_scenario_files(tmp_path, outdir=outdir)
+        text = cfg.read_text()
+        for old, new in (("total_duration = 4", f"total_duration = {total}"),
+                         ("snapshot_interval = 2", "snapshot_interval = 0.5"),
+                         ("spinup_duration = 1", "spinup_duration = 0")):
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        return load_scenario(cfg)
+
+    out = run(scenario(2, "out")).output_dir
+    stamps = ("000000.5", "000001.0", "000001.5", "000002.0")
+    assert sorted(p.name for p in out.glob("h_*.asc")) == [f"h_{s}.asc" for s in stamps]
+    # A run stopped at a snapshot time takes the same steps up to it, so its
+    # last snapshot is the state at that time.
+    for total, stamp in zip((0.5, 1, 1.5, 2), stamps):
+        short = run(scenario(total, f"out_{total}")).output_dir
+        for name in ("h", "u", "v"):
+            last = sorted(short.glob(f"{name}_*.asc"))[-1]
+            assert (out / f"{name}_{stamp}.asc").read_bytes() == last.read_bytes()
 
 
 def test_run_restart_matches_uninterrupted(tmp_path):

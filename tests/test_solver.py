@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from swflood.boundary import BoundarySpec
+from swflood.partition import rk2_step
 from swflood.solver import (
     NumericalAbort,
+    active_box,
     compute_dt,
     dt_from_wave_speed,
     friction_step,
     max_wave_speed,
-    rk2_step,
 )
 from swflood.raster import RasterGrid
 from swflood.state import INT, PhysicalParams, State, velocity
@@ -102,7 +103,7 @@ def test_dt_still_lake_hand_value():
     # Speed sqrt(9.81) = 3.13209...; dt = 0.5 * 1 / speed = 0.15964.
     st = lake(depth=1.0)
     params = PhysicalParams()
-    assert max_wave_speed(st, params) == np.sqrt(G)
+    assert max_wave_speed(st, params, active_box(st)) == np.sqrt(G)
     assert compute_dt(st, params) == pytest.approx(0.15964, abs=1e-5)
 
 
@@ -132,11 +133,15 @@ def test_wave_speed_sees_ghost_strips():
     st.h[3, 0:2] = 0.25
     st.hu[3, 0:2] = 0.25 * 2.0
     params = PhysicalParams()
-    assert max_wave_speed(st, params) == 2.0 + np.sqrt(G * 0.25)
+    speed = 2.0 + np.sqrt(G * 0.25)
+    for box in (active_box(st), (0, st.nrows, 0, st.ncols)):
+        assert max_wave_speed(st, params, box) == speed
+    assert compute_dt(st, params) == dt_from_wave_speed(speed, st.dx, st.dy, params)
     # Corner ghosts never feed a flux and are ignored.
     st2 = lake(depth=0.0)
     st2.h[0, 0] = 5.0
-    assert max_wave_speed(st2, params) == 0.0
+    for box in (active_box(st2), (0, st2.nrows, 0, st2.ncols)):
+        assert max_wave_speed(st2, params, box) == 0.0
 
 
 # --------------------------------------------------------------------------

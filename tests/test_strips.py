@@ -18,8 +18,8 @@ import pytest
 
 from swflood import solver
 from swflood.boundary import BoundarySpec, free_outflow, wall
-from swflood.partition import BlockEngine
-from swflood.solver import NumericalAbort, euler_friction_stage, rk2_step
+from swflood.partition import BlockEngine, rk2_step
+from swflood.solver import NumericalAbort, euler_friction_stage
 from swflood.state import INT, PhysicalParams, State
 
 STEPS = 12
@@ -154,7 +154,7 @@ def test_a_bad_cell_in_a_later_strip_aborts_with_the_whole_box_message(case, mon
     st, l_h = bad_cell_state(case)
     monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
     with pytest.raises(NumericalAbort) as info:
-        euler_friction_stage(st, params(), 1.0)
+        euler_friction_stage(st, params(), 1.0, solver.active_box(st))
     assert str(info.value) == ABORTS[case]
 
 
@@ -164,7 +164,7 @@ def test_a_bad_cell_aborts_with_the_whole_box_message_on_two_threads(case, monke
     monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(NumericalAbort) as info:
-            euler_friction_stage(st, params(), 1.0, pool.map)
+            euler_friction_stage(st, params(), 1.0, solver.active_box(st), pool.map)
     assert str(info.value) == ABORTS[case]
 
 
@@ -193,7 +193,7 @@ def test_a_failing_strip_raises_only_after_every_strip_task_returned(monkeypatch
             return pool.map(task, strips)
 
         with pytest.raises(NumericalAbort, match="non-finite"):
-            euler_friction_stage(st, params(), 1.0, slow_last_map)
+            euler_friction_stage(st, params(), 1.0, solver.active_box(st), slow_last_map)
         with lock:
             assert len(returned) == 3
 
@@ -208,7 +208,7 @@ def test_a_roundoff_clamp_in_one_strip_clamps_the_whole_box(monkeypatch):
     l_h[20, 5] = -0.1 - 5e-13
     l_h[290, 3] = -0.0
     monkeypatch.setattr(solver, "residual_arrays", fake_residual(l_h))
-    edges = euler_friction_stage(st, params(), 1.0)
+    edges = euler_friction_stage(st, params(), 1.0, solver.active_box(st))
     assert -1e-12 < edges.min_h < 0.0
     assert st.h[INT][20, 5] == 0.0 and not np.signbit(st.h[INT][20, 5])
     assert st.h[INT][290, 3] == 0.0 and not np.signbit(st.h[INT][290, 3])
