@@ -10,13 +10,13 @@ the rest of that edge behaves as a wall.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .raster import data_lines
 from .state import GHOSTS, PhysicalParams, State
 
 RESIDUAL_TOL = 1.0e-12
@@ -218,13 +218,8 @@ def apply_boundaries(state: State, spec: BoundarySpec, t: float,
 
 def read_riverbed_mask(source) -> list[tuple[int, int]]:
     """Read riverbed cells: one ``row col`` pair per line, # comments allowed."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
     cells = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(source):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'row col', got {line!r}")

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import validate as validation
-from .features import FeatureParseError, parse_features, read_class_selection
-from .raster import RasterParseError, load_raster, save_raster
+from .features import parse_features, read_class_selection
+from .raster import atomic_open, load_raster, read_input, save_raster
 from .rasterize import build_dsm
 from .simulation import ConfigError, load_scenario, run
 from .solver import NumericalAbort
@@ -99,10 +99,8 @@ def _resolve_blocks(flag: int | None) -> int:
 def _execute(ns: argparse.Namespace) -> int:
     if ns.command == "build-dsm":
         dtm = load_raster(ns.dtm)
-        with open(ns.features, encoding="utf-8") as fh:
-            features = parse_features(fh)
-        with open(ns.classes, encoding="utf-8") as fh:
-            class_ids = read_class_selection(fh)
+        features = read_input(ns.features, parse_features)
+        class_ids = read_input(ns.classes, read_class_selection)
         dsm = build_dsm(dtm, features, class_ids,
                         close_tolerance=ns.close_tolerance)
         save_raster(ns.out, dsm)
@@ -117,7 +115,8 @@ def _execute(ns: argparse.Namespace) -> int:
     if ns.report is None:
         sys.stdout.write(csv_text)
     else:
-        ns.report.write_text(csv_text)
+        with atomic_open(ns.report) as fh:
+            fh.write(csv_text)
         logger.info("report written to %s", ns.report)
     return 0
 
@@ -142,8 +141,7 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         logger.error("numerical abort: %s", exc)
         return 2
-    except (ConfigError, FeatureParseError, RasterParseError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the parse errors are ValueErrors
         logger.error("%s", exc)
         return 1
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .raster import data_lines
+
 
 class FeatureKind(enum.Enum):
     POINT = "POINT"
@@ -175,13 +177,8 @@ def _vertices(lineno: int, vtoks: list[str]) -> np.ndarray:
 
 def read_class_selection(source) -> set[int]:
     """Read a class-selection file: one integer class id per line, # comments."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
     ids = set()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(source):
         try:
             ids.add(int(line))
         except ValueError:

@@ -10,6 +10,9 @@ Data values are the tokens Python's ``float()`` accepts.  The reader converts
 blocks of rows with numpy's text parser; a block that parser refuses is read
 again row by row with ``float()``, which gives the same values or names the
 first malformed token.
+
+The package reads every input file through :func:`read_input` (UTF-8, the
+path in front of any parse error) and writes through :func:`atomic_open`.
 """
 
 from __future__ import annotations
@@ -234,8 +237,43 @@ def write_ascii_grid(grid: RasterGrid, precision: int = 6) -> str:
 
 
 def load_raster(path) -> RasterGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_ascii_grid(fh)
+    return read_input(path, read_ascii_grid)
+
+
+def read_input(path, parse):
+    """``parse`` applied to the text stream of the UTF-8 file ``path``.
+
+    A ValueError of the parser is raised again as its own type with
+    ``"<path>: "`` in front of its message; bytes that are not UTF-8 raise
+    ValueError naming their line.  OSError passes through unchanged.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        # The stream decodes in chunks, so the error's position counts from
+        # its chunk; decode the whole file once more to find the line.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines breaks lines where the text stream does.
+            lineno = len((data[: exc.start] + b".").splitlines())
+            raise ValueError(f"{path}: line {lineno} is not UTF-8 text") from None
+        raise
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def data_lines(source):
+    """``(line number, text)`` of each line of a str or text stream that
+    holds data once its ``#`` comment and outer whitespace are cut."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    for lineno, raw in enumerate(source, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 @contextlib.contextmanager

@@ -14,7 +14,7 @@ import logging
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .boundary import (
     read_riverbed_mask,
 )
 from .partition import BlockEngine
-from .raster import RasterGrid, atomic_open, load_raster, write_ascii_grid
+from .raster import RasterGrid, atomic_open, data_lines, load_raster, read_input, save_raster
 from .solver import NumericalAbort
 from .state import INT, PhysicalParams, State, velocity
 
@@ -66,25 +66,18 @@ class Hydrograph:
 
 
 def read_hydrograph(source) -> Hydrograph:
-    """Two whitespace-separated columns `t Q` per line; `#` comments."""
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text().splitlines()
-    else:
-        lines = source.read().splitlines()
+    """Columns `t Q` per line of a str or text stream; `#` comments."""
     times, flows = [], []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(source):
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"hydrograph line {lineno}: expected 't Q', got {raw!r}")
+            raise ValueError(f"hydrograph line {lineno}: expected 't Q', got {line!r}")
         try:
             t, q = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ValueError(f"hydrograph line {lineno}: non-numeric value in {raw!r}")
+            raise ValueError(f"hydrograph line {lineno}: non-numeric value in {line!r}")
         if not (math.isfinite(t) and math.isfinite(q)):
-            raise ValueError(f"hydrograph line {lineno}: non-finite value in {raw!r}")
+            raise ValueError(f"hydrograph line {lineno}: non-finite value in {line!r}")
         times.append(t)
         flows.append(q)
     return Hydrograph(np.array(times), np.array(flows))
@@ -97,26 +90,24 @@ class Scenario:
     total_duration: float
     snapshot_interval: float
     boundary_kinds: dict[str, str]
-    riverbed_mask_path: Path | None
-    hydrograph_path: Path | None
     spinup_q: float
     spinup_duration: float
     params: PhysicalParams
     initial_h: float = 0.0
     nodata_walls: bool = False
+    # Those of the discharge edge, if there is one.
+    riverbed_cells: list[tuple[int, int]] | None = None
+    hydrograph: Hydrograph | None = None
 
 
-_EDGE_KEYS = ("boundary.north", "boundary.south", "boundary.east", "boundary.west")
-_FLOAT_KEYS = {
-    "g", "manning_n", "cfl", "h_dry", "dt_min", "dt_max",
-    "spinup_q", "spinup_duration", "total_duration", "snapshot_interval",
-    "initial_h",
+# PhysicalParams fields; a key left out takes the field's default.
+_PARAM_KEYS = ("g", "manning_n", "cfl", "h_dry", "dt_min", "dt_max")
+_KNOWN_KEYS = {
+    "dsm", "riverbed_mask", "hydrograph", "output_dir", "nodata_walls",
+    "spinup_q", "spinup_duration", "total_duration", "snapshot_interval", "initial_h",
+    *_PARAM_KEYS, *(f"boundary.{edge}" for edge in EDGES),
 }
-_KNOWN_KEYS = (
-    {"dsm", "riverbed_mask", "hydrograph", "output_dir", "nodata_walls"}
-    | _FLOAT_KEYS | set(_EDGE_KEYS)
-)
-_BOUNDARY_VALUES = ("wall", "free_outflow", "discharge")
+_BOUNDARY_VALUES = tuple(kind.value for kind in EdgeKind)
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -128,30 +119,38 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
 
 
-def load_scenario(path) -> Scenario:
-    """Parse a `key = value` scenario file; paths resolve relative to it."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    base = path.parent
-
+def _read_entries(source) -> dict[str, str]:
+    """The `key = value` entries of a scenario file, checked line by line."""
     raw: dict[str, str] = {}
-    for lineno, text in enumerate(lines, 1):
-        line = text.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(source):
         key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
+    return raw
+
+
+def _read(what: str, path: Path, parse):
+    """read_input with every failure raised as ConfigError."""
+    try:
+        return read_input(path, parse)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def load_scenario(path) -> Scenario:
+    """Parse a `key = value` scenario file; paths resolve relative to it.
+    Once every key has passed its checks, a discharge edge's riverbed mask
+    and hydrograph are read too; the DSM is left to assemble."""
+    path = Path(path)
+    raw = _read("config", path, _read_entries)
 
     def take_float(key, default=None):
         if key not in raw:
@@ -166,13 +165,11 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"key {key!r}: expected a finite number, got {raw[key]!r}")
         return value
 
-    def take_path(key, required):
+    def take_path(key):
         if key not in raw:
-            if required:
-                raise ConfigError(f"missing required key {key!r} in {path}")
-            return None
-        p = Path(raw[key])
-        return p if p.is_absolute() else base / p
+            raise ConfigError(f"missing required key {key!r} in {path}")
+        # An absolute path replaces the base.
+        return path.parent / raw[key]
 
     total = take_float("total_duration")
     if total <= 0:
@@ -191,40 +188,29 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("initial_h must be nonnegative")
 
     kinds = {}
-    for key in _EDGE_KEYS:
-        value = raw.get(key, "wall")
+    for edge in EDGES:
+        key = f"boundary.{edge}"
+        value = raw.get(key, EdgeKind.WALL.value)
         if value not in _BOUNDARY_VALUES:
             raise ConfigError(
                 f"key {key!r}: expected one of {_BOUNDARY_VALUES}, got {value!r}"
             )
-        kinds[key.split(".", 1)[1]] = value
-    n_discharge = sum(1 for v in kinds.values() if v == "discharge")
+        kinds[edge] = value
+    n_discharge = sum(1 for v in kinds.values() if v == EdgeKind.DISCHARGE.value)
     if n_discharge > 1:
         raise ConfigError("at most one edge may carry the discharge condition")
 
-    mask_path = take_path("riverbed_mask", required=n_discharge > 0)
-    hydro_path = take_path("hydrograph", required=n_discharge > 0)
-
     try:
-        params = PhysicalParams(
-            g=take_float("g", 9.81),
-            manning_n=take_float("manning_n", 0.0),
-            cfl=take_float("cfl", 0.5),
-            h_dry=take_float("h_dry", 1e-10),
-            dt_min=take_float("dt_min", 1e-8),
-            dt_max=take_float("dt_max", 10.0),
-        )
+        params = PhysicalParams(**{key: take_float(key) for key in _PARAM_KEYS if key in raw})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    return Scenario(
-        dsm_path=take_path("dsm", required=True),
-        output_dir=take_path("output_dir", required=True),
+    scenario = Scenario(
+        dsm_path=take_path("dsm"),
+        output_dir=take_path("output_dir"),
         total_duration=total,
         snapshot_interval=snap,
         boundary_kinds=kinds,
-        riverbed_mask_path=mask_path,
-        hydrograph_path=hydro_path,
         spinup_q=spin_q,
         spinup_duration=spin_t,
         params=params,
@@ -233,6 +219,11 @@ def load_scenario(path) -> Scenario:
             "nodata_walls", raw["nodata_walls"]
         ),
     )
+    if n_discharge:
+        mask_path, hydro_path = take_path("riverbed_mask"), take_path("hydrograph")
+        scenario.riverbed_cells = _read("riverbed mask", mask_path, read_riverbed_mask)
+        scenario.hydrograph = _read("hydrograph", hydro_path, read_hydrograph)
+    return scenario
 
 
 def scenario_discharge(spinup_q: float, spinup_duration: float,
@@ -248,7 +239,7 @@ def scenario_discharge(spinup_q: float, spinup_duration: float,
 
 
 def assemble(scenario: Scenario):
-    """Load inputs and build (state, boundary spec, template grid)."""
+    """Load the DSM and build (state, boundary spec, template grid)."""
     try:
         grid = load_raster(scenario.dsm_path)
     except OSError as exc:
@@ -262,27 +253,17 @@ def assemble(scenario: Scenario):
 
     conditions = {}
     for edge, kind in scenario.boundary_kinds.items():
-        if kind == "wall":
-            conditions[edge] = EdgeCondition(EdgeKind.WALL)
-        elif kind == "free_outflow":
-            conditions[edge] = EdgeCondition(EdgeKind.FREE_OUTFLOW)
-        else:
-            try:
-                cells = read_riverbed_mask(scenario.riverbed_mask_path.read_text())
-                mask = edge_mask_from_cells(cells, edge, state.nrows, state.ncols)
-            except OSError as exc:
-                raise ConfigError(
-                    f"cannot read riverbed mask {scenario.riverbed_mask_path}: {exc}"
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-            hg = read_hydrograph(scenario.hydrograph_path)
-            q_of_t = scenario_discharge(
-                scenario.spinup_q, scenario.spinup_duration, hg
-            )
-            conditions[edge] = EdgeCondition(
-                EdgeKind.DISCHARGE, discharge=q_of_t, mask=mask
-            )
+        if kind != EdgeKind.DISCHARGE.value:
+            conditions[edge] = EdgeCondition(EdgeKind(kind))
+            continue
+        try:
+            mask = edge_mask_from_cells(scenario.riverbed_cells, edge, state.nrows, state.ncols)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        q_of_t = scenario_discharge(
+            scenario.spinup_q, scenario.spinup_duration, scenario.hydrograph
+        )
+        conditions[edge] = EdgeCondition(EdgeKind.DISCHARGE, discharge=q_of_t, mask=mask)
     return state, BoundarySpec(**conditions), grid
 
 
@@ -351,8 +332,7 @@ def _scenario_identity(scenario: Scenario, spec: BoundarySpec) -> bytes:
         cond = spec.edge(name)
         parts.append(f"{name}={cond.kind.value};".encode())
         if cond.kind is EdgeKind.DISCHARGE:
-            hg = read_hydrograph(scenario.hydrograph_path)
-            for arr in (cond.mask, hg.times, hg.flows):
+            for arr in (cond.mask, scenario.hydrograph.times, scenario.hydrograph.flows):
                 arr = np.ascontiguousarray(arr, dtype="<f8")
                 parts.append(struct.pack("<q", arr.size) + arr.tobytes())
     return b"".join(parts)
@@ -470,17 +450,6 @@ def _event_schedule(scenario: Scenario) -> tuple[list[float], set[float]]:
     return sorted(events), set(snaps)
 
 
-def _write_grid(path: Path, template: RasterGrid, values: np.ndarray,
-                precision: int = SNAPSHOT_PRECISION) -> None:
-    grid = RasterGrid(
-        ncols=template.ncols, nrows=template.nrows, xll=template.xll,
-        yll=template.yll, cellsize=template.cellsize, nodata=template.nodata,
-        values=np.asarray(values, dtype=np.float64),
-    )
-    with atomic_open(path) as fh:
-        fh.write(write_ascii_grid(grid, precision=precision))
-
-
 def _stamp_format(snapshot_times) -> str:
     """Format spec of the times in snapshot file names.
 
@@ -499,7 +468,8 @@ def _write_snapshot(outdir: Path, template: RasterGrid, state: State,
     u = velocity(h, state.hu[INT], params.h_dry)
     v = velocity(h, state.hv[INT], params.h_dry)
     for name, values in (("h", h), ("u", u), ("v", v)):
-        _write_grid(outdir / f"{name}_{stamp}.asc", template, values)
+        save_raster(outdir / f"{name}_{stamp}.asc", replace(template, values=values),
+                    SNAPSHOT_PRECISION)
 
 
 def run(scenario: Scenario, blocks: int = 1, restart_path=None,
@@ -582,9 +552,9 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
         engine.close()
 
     balance.final_volume = last_good.total_volume()
-    _write_grid(outdir / "max_h.asc", grid, maxima.max_h)
-    _write_grid(outdir / "max_speed.asc", grid, maxima.max_speed)
-    _write_grid(outdir / "time_of_max_h.asc", grid, maxima.time_of_max_h)
+    for name in ("max_h", "max_speed", "time_of_max_h"):
+        save_raster(outdir / f"{name}.asc", replace(grid, values=getattr(maxima, name)),
+                    SNAPSHOT_PRECISION)
     _write_summary(outdir, status, step, t, balance, fallbacks, blocks)
     logger.info(
         "run complete: %d steps to t = %.6f, mass closure %.3e",

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: parsing, exit codes, workflows."""
 
+import builtins
 import os
 import subprocess
 import sys
@@ -8,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swflood import raster
 from swflood.cli import UsageError, _resolve_blocks, main, parse_args
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.simulation import ConfigError
+from test_simulation import HalfWriter
 
 
 # --------------------------------------------------------------------------
@@ -233,25 +236,30 @@ def test_run_on_a_non_finite_number_exits_one_without_traceback(tmp_path, file, 
 ], ids=["dtm", "features", "classes"])
 def test_build_dsm_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, old,
                                                                      new, message):
-    dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.arange(16.0).reshape(4, 4))
-    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm))
-    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
-    (tmp_path / "classes.txt").write_text("10\n")
+    argv = write_build_inputs(tmp_path)
     path = tmp_path / file
     path.write_text(path.read_text().replace(old, new))
-    proc = run_cli_process(["build-dsm",
-                            "--dtm", str(tmp_path / "dtm.asc"),
-                            "--features", str(tmp_path / "features.txt"),
-                            "--classes", str(tmp_path / "classes.txt"),
-                            "--out", str(tmp_path / "d.asc")])
+    proc = run_cli_process(argv)
     assert proc.returncode == 1
-    assert message in proc.stderr
+    assert f"{path}: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "d.asc").exists()
 
 
+def write_build_inputs(tmp_path):
+    """A 4x4 DTM, one POINT feature and its class; returns the build-dsm argv."""
+    dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.arange(16.0).reshape(4, 4))
+    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm))
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
+    (tmp_path / "classes.txt").write_text("10\n")
+    return ["build-dsm", "--dtm", str(tmp_path / "dtm.asc"),
+            "--features", str(tmp_path / "features.txt"),
+            "--classes", str(tmp_path / "classes.txt"),
+            "--out", str(tmp_path / "d.asc")]
+
+
 @pytest.mark.parametrize("file, old, new, message", [
-    ("scenario.cfg", "spinup_q = 0.5", "spinup_q: 0.5", "scenario.cfg:6: expected 'key = value', got 'spinup_q: 0.5'"),
+    ("scenario.cfg", "spinup_q = 0.5", "spinup_q: 0.5", "line 6: expected 'key = value', got 'spinup_q: 0.5'"),
     ("riverbed.txt", "4 0", "4 west", "line 2: bad cell index in '4 west'"),
     ("hydro.txt", "5 2.0", "5 2.0 7", "hydrograph line 2: expected 't Q'"),
 ], ids=["config", "riverbed-mask", "hydrograph"])
@@ -262,9 +270,25 @@ def test_run_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, ol
     path.write_text(path.read_text().replace(old, new))
     proc = run_cli_process(["run", "--config", str(cfg)])
     assert proc.returncode == 1
-    assert message in proc.stderr
+    assert f"{path}: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command, file, old, new", [
+    ("build-dsm", "features.txt", b"7\n", b"7\n# caf\xff\n"),
+    ("run", "hydro.txt", b"5 2.0\n", b"5 2.0  # caf\xff\n"),
+], ids=["features", "hydrograph"])
+def test_an_input_that_is_not_utf8_exits_one_naming_its_file_and_line(tmp_path, command,
+                                                                      file, old, new):
+    argv = write_build_inputs(tmp_path) if command == "build-dsm" else [
+        "run", "--config", str(write_scenario(tmp_path))]
+    path = tmp_path / file
+    path.write_bytes(path.read_bytes().replace(old, new))
+    proc = run_cli_process(argv)
+    assert proc.returncode == 1
+    assert f"{path}: line 2 is not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_workflow_stdout_and_file(tmp_path, capsys):
@@ -276,3 +300,15 @@ def test_validate_workflow_stdout_and_file(tmp_path, capsys):
     assert main(["validate", "--case", "lake-at-rest", "--n", "16",
                  "--report", str(report)]) == 0
     assert report.read_text() == out
+
+
+def test_validate_report_write_that_fails_keeps_the_previous_report(tmp_path, monkeypatch):
+    report = tmp_path / "norms.csv"
+    argv = ["validate", "--case", "lake-at-rest", "--n", "16", "--report", str(report)]
+    assert main(argv) == 0
+    before = report.read_bytes()
+    monkeypatch.setattr(raster, "open", lambda *a, **k: HalfWriter(builtins.open(*a, **k)),
+                        raising=False)
+    assert main(argv) == 1
+    assert report.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [report]

@@ -110,7 +110,7 @@ def test_scenario_rejects_malformed_configs_with_its_error(tmp_path_factory, tex
         scenario = load_scenario(path)
     except ConfigError as exc:
         # Errors of one line name it; errors of the whole file do not.
-        if str(exc).startswith(f"{path}:"):
-            assert_names_a_line(exc, text, prefix=f"{path}:")
+        if str(exc).startswith(f"{path}: "):
+            assert_names_a_line(exc, text, prefix=f"{path}: line ")
     else:
         assert isinstance(scenario, Scenario)

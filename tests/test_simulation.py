@@ -4,20 +4,28 @@ import builtins
 import errno
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from swflood import raster
-from swflood.raster import RasterGrid, atomic_open, load_raster, save_raster, write_ascii_grid
+from swflood.raster import (
+    RasterGrid,
+    atomic_open,
+    load_raster,
+    read_input,
+    save_raster,
+    write_ascii_grid,
+)
 from swflood.simulation import (
     CHECKPOINT_MAGIC,
+    SNAPSHOT_PRECISION,
     ConfigError,
     Hydrograph,
     MassBalance,
     MaximaMaps,
     _event_schedule,
-    _write_grid,
     _write_summary,
     load_checkpoint,
     load_scenario,
@@ -64,9 +72,10 @@ def test_read_hydrograph_comments_and_errors(tmp_path):
     hg = read_hydrograph(io.StringIO("# rising limb\n0 1.0\n\n10 3.0  # peak\n"))
     np.testing.assert_array_equal(hg.times, [0.0, 10.0])
     np.testing.assert_array_equal(hg.flows, [1.0, 3.0])
+    assert read_hydrograph("0 1\n5 2\n").q_at(5.0) == 2.0
     path = tmp_path / "hydro.txt"
     path.write_text("0 1\n5 2\n")
-    assert read_hydrograph(path).q_at(5.0) == 2.0
+    assert read_input(path, read_hydrograph).q_at(5.0) == 2.0
     with pytest.raises(ValueError, match="line 1: expected 't Q'"):
         read_hydrograph(io.StringIO("0 1 2\n"))
     with pytest.raises(ValueError, match="line 2: non-numeric"):
@@ -119,17 +128,57 @@ def test_load_scenario_paths_and_defaults(tmp_path):
     assert sc.params.manning_n == 0.03
     assert sc.params.g == 9.81
     assert sc.boundary_kinds == {k: "wall" for k in ("north", "south", "east", "west")}
-    assert sc.riverbed_mask_path is None
+    assert sc.riverbed_cells is None and sc.hydrograph is None
     assert sc.spinup_q == 0.0 and sc.spinup_duration == 0.0
     assert not sc.nodata_walls
 
 
 def test_load_scenario_absolute_path_kept(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG + "hydrograph = /data/h.txt\n"
+    # The absolute hydrograph path lies outside the config's directory; a
+    # decoy with the same name beside the config must not be read.
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "h.txt").write_text("0 1\n10 3\n")
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    (cfg_dir / "h.txt").write_text("0 7\n")
+    (cfg_dir / "riv.txt").write_text("2 0\n3 0\n")
+    path = write_config(cfg_dir, BASE_CONFIG + f"hydrograph = {elsewhere / 'h.txt'}\n"
                         "riverbed_mask = riv.txt\nboundary.west = discharge\n")
     sc = load_scenario(path)
-    assert str(sc.hydrograph_path) == "/data/h.txt"
-    assert sc.riverbed_mask_path == tmp_path / "riv.txt"
+    np.testing.assert_array_equal(sc.hydrograph.times, [0.0, 10.0])
+    np.testing.assert_array_equal(sc.hydrograph.flows, [1.0, 3.0])
+    assert sc.riverbed_cells == [(2, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("h.txt", "0 1\n5 x\n", "hydrograph line 2: non-numeric value in '5 x'"),
+    ("h.txt", "0 1\n0 2\n", "hydrograph times must be strictly increasing"),
+    ("m.txt", "3 0\nnorth 0\n", "line 2: bad cell index in 'north 0'"),
+], ids=["hydrograph-line", "hydrograph-series", "mask"])
+def test_load_scenario_reads_and_checks_the_inflow_files(tmp_path, name, text, message):
+    # The DSM named by BASE_CONFIG does not exist: the inflow files are read
+    # and checked when the scenario loads, before anything reads the DSM.
+    (tmp_path / "h.txt").write_text("0 1\n5 2\n")
+    (tmp_path / "m.txt").write_text("3 0\n")
+    (tmp_path / name).write_text(text)
+    path = write_config(tmp_path, BASE_CONFIG + "boundary.west = discharge\n"
+                        "hydrograph = h.txt\nriverbed_mask = m.txt\n")
+    with pytest.raises(ConfigError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{tmp_path / name}: {message}"
+    (tmp_path / name).unlink()
+    with pytest.raises(ConfigError, match=f"cannot read .* {tmp_path / name}"):
+        load_scenario(path)
+
+
+def test_load_scenario_takes_the_physical_parameter_defaults(tmp_path):
+    assert load_scenario(write_config(tmp_path, BASE_CONFIG)).params == PhysicalParams()
+    values = {"g": 9.5, "manning_n": 0.025, "cfl": 0.45, "h_dry": 1e-9,
+              "dt_min": 1e-6, "dt_max": 4.0}
+    for key, value in values.items():
+        sc = load_scenario(write_config(tmp_path, BASE_CONFIG + f"{key} = {value!r}\n"))
+        assert sc.params == replace(PhysicalParams(), **{key: value})
 
 
 @pytest.mark.parametrize("extra, fragment", [
@@ -330,8 +379,7 @@ def scenario_stub(total, interval, spinup):
 
     return Scenario(
         dsm_path=Path("x.asc"), output_dir=Path("out"), total_duration=total,
-        snapshot_interval=interval, boundary_kinds={}, riverbed_mask_path=None,
-        hydrograph_path=None, spinup_q=0.0, spinup_duration=spinup,
+        snapshot_interval=interval, boundary_kinds={}, spinup_q=0.0, spinup_duration=spinup,
         params=PhysicalParams(),
     )
 
@@ -457,6 +505,35 @@ def test_run_restart_refuses_a_changed_scenario(tmp_path, name, old, new):
         run(load_scenario(cfg), restart_path=cp)
 
 
+def test_run_reads_no_inflow_file_after_the_scenario_loads(tmp_path):
+    res_kept = run(load_scenario(make_scenario_files(tmp_path, outdir="out_kept")))
+    cfg = make_scenario_files(tmp_path, outdir="out_gone")
+    sc = load_scenario(cfg)
+    (tmp_path / "hydro.txt").unlink()
+    (tmp_path / "riverbed.txt").unlink()
+    cp = tmp_path / "mid.chk"
+    res_gone = run(sc, checkpoint_time=2.0, checkpoint_path=cp)
+    for field in ("h", "hu", "hv"):
+        np.testing.assert_array_equal(getattr(res_gone.state, field),
+                                      getattr(res_kept.state, field))
+    kept, gone = res_kept.output_dir, res_gone.output_dir
+    names = sorted(p.name for p in kept.iterdir())
+    assert "summary.txt" in names and "max_h.asc" in names
+    assert sorted(p.name for p in gone.iterdir()) == names
+    for name in names:
+        assert (gone / name).read_bytes() == (kept / name).read_bytes(), name
+    assert run(sc, restart_path=cp).final_t == 4.0
+
+    # The checkpoint still records the hydrograph it was written with.
+    (tmp_path / "hydro.txt").write_text("0 1.0\n5 2.5\n")
+    (tmp_path / "riverbed.txt").write_text("3 0\n4 0\n")
+    other = load_scenario(cfg)
+    (tmp_path / "hydro.txt").unlink()
+    (tmp_path / "riverbed.txt").unlink()
+    with pytest.raises(ConfigError, match="different scenario"):
+        run(other, restart_path=cp)
+
+
 def test_run_blocked_matches_serial(tmp_path):
     res1 = run(load_scenario(make_scenario_files(tmp_path, outdir="out_1")))
     res2 = run(load_scenario(make_scenario_files(tmp_path, outdir="out_2")), blocks=2)
@@ -547,8 +624,9 @@ def test_failed_writes_keep_every_previous_output(tmp_path, monkeypatch):
         3, 2, 0.0, 0.0, 1.0, values=other)), monkeypatch)
 
     snap = tmp_path / "h_000002.asc"
-    _write_grid(snap, grid, grid.values)
-    assert_write_fails_and_keeps(snap, lambda: _write_grid(snap, grid, other), monkeypatch)
+    save_raster(snap, grid, SNAPSHOT_PRECISION)
+    assert_write_fails_and_keeps(snap, lambda: save_raster(
+        snap, replace(grid, values=other), SNAPSHOT_PRECISION), monkeypatch)
 
     balance = MassBalance(initial_volume=1.0, inflow=2.0, final_volume=3.0)
     _write_summary(tmp_path, "completed", 5, 2.0, balance, 0, 1)
