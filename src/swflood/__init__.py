@@ -19,7 +19,7 @@ from .features import FeatureParseError, parse_features, read_class_selection
 from .partition import BlockEngine, rk2_step
 from .raster import RasterParseError, load_raster, save_raster
 from .rasterize import build_dsm
-from .simulation import ConfigError, load_checkpoint, load_scenario, run, save_checkpoint
+from .simulation import ConfigError, load_scenario, run
 from .solver import NumericalAbort
 from .state import PhysicalParams, State
 

@@ -99,8 +99,8 @@ def riemann_inflow(h_interior: float, u_interior: float, q_b: float, g: float) -
     subcritical state, the critical state (Froude = 1 at the same q_b) is
     returned with ``critical`` set.
     """
-    if q_b < 0:
-        raise ValueError(f"inflow discharge must be non-negative, got {q_b}")
+    if not 0.0 <= q_b < math.inf:
+        raise ValueError(f"inflow discharge must be a finite non-negative number, got {q_b}")
     if q_b == 0.0:
         return InflowState(h_interior, 0.0, False)
 
@@ -188,8 +188,8 @@ def _fill_edge(state: State, edge: str, cond: EdgeCondition, t: float,
 
     width = state.dx if edge in ("north", "south") else state.dy
     q_total = cond.discharge(t)
-    if q_total < 0:
-        raise ValueError(f"negative discharge {q_total} at t = {t}")
+    if not 0.0 <= q_total < math.inf:
+        raise ValueError(f"non-finite or negative discharge {q_total} at t = {t}")
     q_b = q_total / (len(cond.mask) * width)
 
     fallbacks = 0

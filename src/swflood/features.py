@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import data_lines
+from .raster import bulk_floats, data_lines
 
 
 class FeatureKind(enum.Enum):
@@ -117,7 +117,8 @@ def _parse_block(block: list[tuple[int, str]], features: list[ClassifiedFeature]
 
     # A structural error raises only after the records before it have
     # passed their numeric and vertex-count checks.
-    coords = _bulk_vertices([vtok for record in records for vtok in record[3]])
+    strings = [vtok for record in records for vtok in record[3]]
+    coords = bulk_floats(strings, len(strings), 3)
     start = 0
     for lineno, class_id, kind, vtoks in records:
         if coords is None:
@@ -131,27 +132,6 @@ def _parse_block(block: list[tuple[int, str]], features: list[ClassifiedFeature]
             raise FeatureParseError(f"line {lineno}: {exc}") from None
     if error is not None:
         raise error
-
-
-def _bulk_vertices(vtoks: list[str]) -> np.ndarray | None:
-    """The vertex strings as the rows of one (V, 3) array, or None if refused.
-
-    numpy's parser splits on the whitespace ``str.split`` splits on and
-    converts what ``float()`` converts, but refuses some spellings ``float()``
-    accepts (``1_000``, non-ASCII digits) and a line break inside a string.
-    It skips blank strings, so the shape check catches an empty vertex as
-    well as one with 2 or 4 values.
-    """
-    # Blank vertex strings only would make loadtxt warn of no data.
-    if not any(map(str.strip, vtoks)):
-        return None
-    try:
-        coords = np.loadtxt(vtoks, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if coords.shape != (len(vtoks), 3) or not np.isfinite(coords).all():
-        return None
-    return coords
 
 
 def _vertices(lineno: int, vtoks: list[str]) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Pointwise kernels of the well-balanced finite-volume scheme.
 
-All kernels accept scalars or numpy arrays elementwise and are pure.  The
-scheme combines a minmod MUSCL reconstruction of u, h and h+z, a
+All kernels take float64 arrays or Python floats, work elementwise and are
+pure.  The scheme combines a minmod MUSCL reconstruction of u, h and h+z, a
 discharge-conserving velocity reconstruction, the hydrostatic reconstruction
 of interface depths, an HLLC flux, and the interface plus centered source
 terms that keep lakes at rest exactly balanced.
@@ -18,8 +18,6 @@ def minmod(x, y):
     Both sign tests read off lo = min(x, y) and hi = max(x, y); a NaN makes
     both fail and gives 0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     return np.where(lo >= 0, lo, np.where(hi <= 0, hi, 0.0))
@@ -33,15 +31,13 @@ def muscl_reconstruct(s_prev, s_i, s_next):
     cancel, so the traces are computed from plain neighbor differences and
     take no dx; the mean (s_minus + s_plus)/2 equals s_i.
     """
-    s_i = np.asarray(s_i, dtype=np.float64)
-    half = 0.5 * minmod(s_i - s_prev, np.asarray(s_next, dtype=np.float64) - s_i)
+    half = 0.5 * minmod(s_i - s_prev, s_next - s_i)
     return s_i - half, s_i + half
 
 
 def muscl_slope(s_prev, s_i, s_next, dx):
     """Minmod slope used by the velocity reconstruction."""
-    s_i = np.asarray(s_i, dtype=np.float64)
-    return minmod(s_i - s_prev, np.asarray(s_next, dtype=np.float64) - s_i) / dx
+    return minmod(s_i - s_prev, s_next - s_i) / dx
 
 
 def velocity_reconstruct(u_i, h_i, h_minus, h_plus, du, dx, h_dry):
@@ -55,11 +51,9 @@ def velocity_reconstruct(u_i, h_i, h_minus, h_plus, du, dx, h_dry):
     which gives h_minus*u_minus + h_plus*u_plus = 2*h_i*u_i since the depth
     traces average to h_i.  Dry cells (h_i <= h_dry) take zero traces.
     """
-    u_i = np.asarray(u_i, dtype=np.float64)
-    h_i = np.asarray(h_i, dtype=np.float64)
     wet = h_i > h_dry
     h_safe = np.where(wet, h_i, 1.0)
-    step = (0.5 * dx) * np.asarray(du, dtype=np.float64) / h_safe
+    step = (0.5 * dx) * du / h_safe
     u_minus = np.where(wet, u_i - h_plus * step, 0.0)
     u_plus = np.where(wet, u_i + h_minus * step, 0.0)
     return u_minus, u_plus
@@ -77,16 +71,14 @@ def hydrostatic_reconstruct(h_minus, z_minus, h_plus, z_plus):
     surfaces yield exactly equal depths.  Both outputs are bounded by their
     input depths.
     """
-    dz = np.asarray(z_plus, dtype=np.float64) - np.asarray(z_minus, dtype=np.float64)
-    h_left = np.maximum(np.asarray(h_minus, dtype=np.float64) - np.maximum(dz, 0.0), 0.0)
-    h_right = np.maximum(np.asarray(h_plus, dtype=np.float64) + np.minimum(dz, 0.0), 0.0)
+    dz = z_plus - z_minus
+    h_left = np.maximum(h_minus - np.maximum(dz, 0.0), 0.0)
+    h_right = np.maximum(h_plus + np.minimum(dz, 0.0), 0.0)
     return h_left, h_right
 
 
 def physical_flux(h, u, g):
     """Mass and momentum flux (h*u, h*u^2 + g*h^2/2) of a single state."""
-    h = np.asarray(h, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
     q = h * u
     return q, q * u + (0.5 * g) * (h * h)
 
@@ -134,11 +126,6 @@ def hllc_flux(h_l, u_l, v_l, h_r, u_r, v_r, g):
     discharges q = h*u and the upwind masks are computed once and shared by
     all three components.
     """
-    h_l = np.asarray(h_l, dtype=np.float64)
-    u_l = np.asarray(u_l, dtype=np.float64)
-    h_r = np.asarray(h_r, dtype=np.float64)
-    u_r = np.asarray(u_r, dtype=np.float64)
-
     c1, c2 = _wave_speeds(h_l, u_l, h_r, u_r, g)
     upwind_left = _contact_upwind_left(h_l, u_l, h_r, u_r, c1, c2)
     q_l, fhu_l = physical_flux(h_l, u_l, g)
@@ -172,8 +159,6 @@ def interface_sources(h_minus, h_plus, h_left, h_right, g):
     left and right cell respectively.  Factored differences keep the
     cancellation tight for near-balanced states.
     """
-    h_minus = np.asarray(h_minus, dtype=np.float64)
-    h_plus = np.asarray(h_plus, dtype=np.float64)
     s_left = (0.5 * g) * ((h_minus - h_left) * (h_minus + h_left))
     s_right = (0.5 * g) * ((h_plus - h_right) * (h_plus + h_right))
     return s_left, s_right
@@ -186,6 +171,4 @@ def centered_source(h_left_trace, h_right_trace, z_left_trace, z_right_trace, g)
 
     Exactly cancels the interface corrections for a lake at rest.
     """
-    h_left_trace = np.asarray(h_left_trace, dtype=np.float64)
-    z_right_trace = np.asarray(z_right_trace, dtype=np.float64)
     return (-0.5 * g) * (h_left_trace + h_right_trace) * (z_right_trace - z_left_trace)

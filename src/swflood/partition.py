@@ -27,7 +27,6 @@ from .solver import (
     compute_dt,
     dt_from_wave_speed,
     euler_friction_stage,
-    interior_min,
     max_wave_speed,
 )
 from .state import PhysicalParams, State
@@ -119,9 +118,7 @@ class BlockEngine:
         box = active_box(state)
         region, saved = _grow(state, region, saved, box)
         self._stage(dt, diag, box)
-        region = combine_heun(state, saved, region, params)
-        final = 0.0 if region is None else interior_min(
-            state, region, float(state.h[box_cells(region)].min()))
+        region, final = combine_heun(state, saved, region, params)
         diag.min_h = min(diag.min_h, final)
         diag.region = region
         return diag

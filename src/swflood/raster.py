@@ -154,25 +154,32 @@ def read_ascii_grid(source) -> RasterGrid:
         raise RasterParseError(str(exc)) from None
 
 
-def _read_rows(lines: list[str], values: np.ndarray, row: int) -> int:
-    """Convert a block of data lines into ``values[row:]``; returns the next row.
+def bulk_floats(strings: list[str], rows: int, cols: int) -> np.ndarray | None:
+    """The numbers of ``strings`` as one finite (rows, cols) array, or None.
 
     numpy's parser splits on the whitespace ``str.split`` splits on and
     converts what ``float()`` converts, but refuses some spellings ``float()``
-    accepts (``1_000``, non-ASCII digits) and any line break inside a line.
-    So a block it refuses, or that holds the wrong count of values or a
-    non-finite one, is converted again row by row with ``float()``.
+    accepts (``1_000``, non-ASCII digits) and a line break inside a string,
+    so the callers convert what this refuses again with ``float()``.  It
+    skips blank strings, which the shape check then counts as missing.
     """
+    # Blank strings only would make loadtxt warn of no data.
+    if not any(map(str.strip, strings)):
+        return None
+    try:
+        block = np.loadtxt(strings, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return block if block.shape == (rows, cols) and np.isfinite(block).all() else None
+
+
+def _read_rows(lines: list[str], values: np.ndarray, row: int) -> int:
+    """Convert a block of data lines into ``values[row:]``; returns the next row."""
     nrows, ncols = values.shape
     count = sum(1 for line in lines if not line.isspace())
-    if count and row + count <= nrows:
-        try:
-            block = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            block = None
-        if block is not None and block.shape == (count, ncols) and np.isfinite(block).all():
-            values[row : row + count] = block
-            return row + count
+    if row + count <= nrows and (block := bulk_floats(lines, count, ncols)) is not None:
+        values[row : row + count] = block
+        return row + count
 
     for line in lines:
         tokens = line.split()

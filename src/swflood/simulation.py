@@ -54,6 +54,9 @@ class Hydrograph:
         q = np.asarray(self.flows, dtype=np.float64)
         if t.ndim != 1 or t.size == 0 or q.shape != t.shape:
             raise ValueError("hydrograph needs at least one (t, Q) knot")
+        for name, values in (("times", t), ("flows", q)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"hydrograph {name} must be finite numbers, got {values}")
         if t.size > 1 and not (np.diff(t) > 0).all():
             raise ValueError("hydrograph times must be strictly increasing")
         if (q < 0).any():
@@ -219,10 +222,16 @@ def load_scenario(path) -> Scenario:
             "nodata_walls", raw["nodata_walls"]
         ),
     )
-    if n_discharge:
-        mask_path, hydro_path = take_path("riverbed_mask"), take_path("hydrograph")
-        scenario.riverbed_cells = _read("riverbed mask", mask_path, read_riverbed_mask)
-        scenario.hydrograph = _read("hydrograph", hydro_path, read_hydrograph)
+    if not n_discharge:
+        for key in ("riverbed_mask", "hydrograph"):
+            if key in raw:
+                raise ConfigError(f"key {key!r} needs an edge set to 'discharge'")
+        return scenario
+    mask_path, hydro_path = take_path("riverbed_mask"), take_path("hydrograph")
+    scenario.riverbed_cells = _read("riverbed mask", mask_path, read_riverbed_mask)
+    if not scenario.riverbed_cells:
+        raise ConfigError(f"{mask_path}: no riverbed cells")
+    scenario.hydrograph = _read("hydrograph", hydro_path, read_hydrograph)
     return scenario
 
 
@@ -320,26 +329,11 @@ class MassBalance:
         return err / max(self.inflow, self.initial_volume, 1e-30)
 
 
-def _scenario_identity(scenario: Scenario, spec: BoundarySpec) -> bytes:
-    """The resolved scenario fields a restart must agree with beyond the
-    parameters, grid and topography: durations, spin-up, edge kinds, the
-    riverbed mask and the hydrograph knots."""
-    parts = [struct.pack(
-        "<4d", scenario.total_duration, scenario.snapshot_interval,
-        scenario.spinup_q, scenario.spinup_duration,
-    )]
-    for name in EDGES:
-        cond = spec.edge(name)
-        parts.append(f"{name}={cond.kind.value};".encode())
-        if cond.kind is EdgeKind.DISCHARGE:
-            for arr in (cond.mask, scenario.hydrograph.times, scenario.hydrograph.flows):
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                parts.append(struct.pack("<q", arr.size) + arr.tobytes())
-    return b"".join(parts)
-
-
-def _config_digest(params: PhysicalParams, state: State, identity: bytes) -> bytes:
-    """Fingerprint of everything a checkpoint must agree with to be resumable."""
+def _restart_digest(scenario: Scenario, state: State, spec: BoundarySpec) -> bytes:
+    """Fingerprint of everything a checkpoint must agree with to be resumable:
+    the parameters, grid and topography, then the durations, spin-up, edge
+    kinds, riverbed mask and hydrograph knots."""
+    params = scenario.params
     hasher = hashlib.sha256()
     hasher.update(struct.pack(
         "<8dq",
@@ -349,25 +343,33 @@ def _config_digest(params: PhysicalParams, state: State, identity: bytes) -> byt
     ))
     hasher.update(struct.pack("<2q2d", state.nrows, state.ncols, state.xll, state.yll))
     hasher.update(np.ascontiguousarray(state.z[INT], dtype="<f8").tobytes())
-    hasher.update(identity)
+    hasher.update(struct.pack(
+        "<4d", scenario.total_duration, scenario.snapshot_interval,
+        scenario.spinup_q, scenario.spinup_duration,
+    ))
+    for name in EDGES:
+        cond = spec.edge(name)
+        hasher.update(f"{name}={cond.kind.value};".encode())
+        if cond.kind is EdgeKind.DISCHARGE:
+            for arr in (cond.mask, scenario.hydrograph.times, scenario.hydrograph.flows):
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                hasher.update(struct.pack("<q", arr.size) + arr.tobytes())
     return hasher.digest()
 
 
 _HEADER = struct.Struct("<qd2q3dq")  # step, t, nrows, ncols, in, out, V0, fallbacks
 
 
-def save_checkpoint(path, state: State, params: PhysicalParams, t: float,
-                    step: int, maxima: MaximaMaps, balance: MassBalance,
-                    fallbacks: int, identity: bytes = b"") -> None:
-    """Write a restart file; ``identity`` (see _scenario_identity) must be
-    passed unchanged to load_checkpoint."""
+def _save_checkpoint(path, state: State, digest: bytes, t: float, step: int,
+                     maxima: MaximaMaps, balance: MassBalance, fallbacks: int) -> None:
+    """Write a restart file stamped with ``digest`` (see _restart_digest)."""
     fields = (
         state.h[INT], state.hu[INT], state.hv[INT],
         maxima.max_h, maxima.max_speed, maxima.time_of_max_h,
     )
     with atomic_open(path, binary=True) as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(_config_digest(params, state, identity))
+        f.write(digest)
         f.write(_HEADER.pack(step, t, state.nrows, state.ncols,
                              balance.inflow, balance.outflow,
                              balance.initial_volume, fallbacks))
@@ -375,8 +377,9 @@ def save_checkpoint(path, state: State, params: PhysicalParams, t: float,
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, state: State, params: PhysicalParams, identity: bytes = b""):
-    """Restore fields into ``state``; returns (t, step, maxima, balance, fallbacks)."""
+def _load_checkpoint(path, state: State, digest: bytes):
+    """Restore fields into ``state`` from a restart file stamped with ``digest``;
+    returns (t, step, maxima, balance, fallbacks)."""
     blob = Path(path).read_bytes()
     magic = blob[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
@@ -389,8 +392,7 @@ def load_checkpoint(path, state: State, params: PhysicalParams, identity: bytes 
     offset = len(CHECKPOINT_MAGIC)
     if len(blob) < offset + 32 + _HEADER.size:
         raise ConfigError(f"checkpoint {path} is truncated inside its header")
-    digest = blob[offset : offset + 32]
-    if digest != _config_digest(params, state, identity):
+    if blob[offset : offset + 32] != digest:
         raise ConfigError(
             f"checkpoint {path} was written for a different scenario "
             "(parameters, grid, topography, boundaries, inflow or schedule differ)"
@@ -487,7 +489,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     outdir.mkdir(parents=True, exist_ok=True)
     events, snapshot_times = _event_schedule(scenario)
     stamp = _stamp_format(snapshot_times)
-    identity = _scenario_identity(scenario, spec)
+    digest = _restart_digest(scenario, state, spec)
 
     if checkpoint_time is not None:
         if checkpoint_path is None:
@@ -499,9 +501,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
             )
 
     if restart_path is not None:
-        t, step, maxima, balance, fallbacks = load_checkpoint(
-            restart_path, state, params, identity
-        )
+        t, step, maxima, balance, fallbacks = _load_checkpoint(restart_path, state, digest)
         logger.info("restarted from %s at t = %.6f (step %d)", restart_path, t, step)
     else:
         t, step, fallbacks = 0.0, 0, 0
@@ -538,8 +538,8 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
             if t in snapshot_times:
                 _write_snapshot(outdir, grid, current, format(t, stamp), params)
             if checkpoint_time is not None and t == checkpoint_time:
-                save_checkpoint(checkpoint_path, current, params, t, step,
-                                maxima, balance, fallbacks, identity)
+                _save_checkpoint(checkpoint_path, current, digest, t, step,
+                                 maxima, balance, fallbacks)
                 logger.info("checkpoint written to %s at t = %.6f", checkpoint_path, t)
     except NumericalAbort as exc:
         status = "aborted"

@@ -438,10 +438,11 @@ def combine_heun(state: State, saved, box, params: PhysicalParams):
     outside the box, a too-negative depth aborts naming its first cell, and
     a roundoff-negative minimum clamps the whole interior, which rewrites
     -0.0 depths outside the box to +0.0.  Returns the region the average
-    changed: ``box``, or the whole interior when the clamp ran.
+    changed, ``box`` or the whole interior when the clamp ran, and the
+    interior's minimum depth after the average.
     """
     if box is None:
-        return None
+        return None, 0.0
     cells = box_cells(box)
     h_n, hu_n, hv_n = saved
     state.h[cells] = 0.5 * (h_n + state.h[cells])
@@ -452,7 +453,9 @@ def combine_heun(state: State, saved, box, params: PhysicalParams):
                                 "Heun average")
     min_h = _clamp_depth(h, interior_min(state, box, min_h), "Heun average",
                          (box[0], box[2]), state.h[INT])
-    return box if min_h >= 0.0 else (0, state.nrows, 0, state.ncols)
+    if min_h >= 0.0:
+        return box, min_h
+    return (0, state.nrows, 0, state.ncols), float(state.h[INT].min())
 
 
 def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,

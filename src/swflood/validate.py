@@ -22,32 +22,10 @@ from .state import INT, PhysicalParams, State
 STRIP_ROWS = 3
 
 
-def ritter_case(h_l: float = 1.0, length: float = 10.0,
-                g: float = 9.81) -> analytic.AnalyticalCase:
-    """Dry dam break at mid-domain, run until the front crosses three
-    quarters of the downstream reach."""
-    x0 = 0.5 * length
-    front_speed = 2.0 * math.sqrt(g * h_l)
-    horizon = 0.75 * (length - x0) / front_speed
-
-    def topography(x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    def initial(x):
-        x = np.asarray(x, dtype=np.float64)
-        h = np.where(x < x0, h_l, 0.0)
-        return h, np.zeros_like(h)
-
-    def exact(x, t):
-        return analytic.ritter_solution(x, t, x0, h_l, g)
-
-    return analytic.AnalyticalCase("ritter", length, topography, initial,
-                                   exact, horizon)
-
-
-def stoker_case(h_l: float = 1.0, h_r: float = 0.1, length: float = 10.0,
-                g: float = 9.81, horizon: float = 1.2) -> analytic.AnalyticalCase:
-    """Wet dam break at mid-domain; the horizon keeps both waves inside."""
+def _dam_break(name: str, length: float, h_l: float, h_r: float, horizon: float,
+               solution, *args) -> analytic.AnalyticalCase:
+    """Flat bed holding h_l left of mid-domain x0 and h_r right of it, exact
+    in time as ``solution(x, t, x0, *args)``."""
     x0 = 0.5 * length
 
     def topography(x):
@@ -59,10 +37,26 @@ def stoker_case(h_l: float = 1.0, h_r: float = 0.1, length: float = 10.0,
         return h, np.zeros_like(h)
 
     def exact(x, t):
-        return analytic.stoker_solution(x, t, x0, h_l, h_r, g)
+        return solution(x, t, x0, *args)
 
-    return analytic.AnalyticalCase("stoker", length, topography, initial,
-                                   exact, horizon)
+    return analytic.AnalyticalCase(name, length, topography, initial, exact, horizon)
+
+
+def ritter_case(h_l: float = 1.0, length: float = 10.0,
+                g: float = 9.81) -> analytic.AnalyticalCase:
+    """Dry dam break at mid-domain, run until the front crosses three
+    quarters of the downstream reach."""
+    # The reach downstream of x0 = 0.5 * length is 0.5 * length long.
+    horizon = 0.75 * (0.5 * length) / (2.0 * math.sqrt(g * h_l))
+    return _dam_break("ritter", length, h_l, 0.0, horizon,
+                      analytic.ritter_solution, h_l, g)
+
+
+def stoker_case(h_l: float = 1.0, h_r: float = 0.1, length: float = 10.0,
+                g: float = 9.81, horizon: float = 1.2) -> analytic.AnalyticalCase:
+    """Wet dam break at mid-domain; the horizon keeps both waves inside."""
+    return _dam_break("stoker", length, h_l, h_r, horizon,
+                      analytic.stoker_solution, h_l, h_r, g)
 
 
 CASES = {

@@ -176,6 +176,12 @@ def test_riemann_inflow_rejects_negative():
         riemann_inflow(1.0, 0.0, -0.1, G)
 
 
+@pytest.mark.parametrize("q_b", [math.nan, math.inf])
+def test_riemann_inflow_rejects_non_finite(q_b):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        riemann_inflow(0.5, 0.0, q_b, G)
+
+
 def test_riemann_inflow_satisfies_both_equations():
     # Subcritical ghost states must carry the demanded discharge and share
     # the interior's outgoing characteristic invariant.
@@ -244,6 +250,14 @@ def test_discharge_negative_rate_rejected():
                         discharge(lambda t: -2.0, [3]))
     with pytest.raises(ValueError, match="negative discharge"):
         apply_boundaries(st, spec, 0.0, PARAMS)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_discharge_non_finite_rate_rejected(q):
+    st = random_state(seed=13)
+    spec = BoundarySpec(wall(), wall(), wall(), discharge(lambda t: q, [3]))
+    with pytest.raises(ValueError, match=r"non-finite or negative discharge .* at t = 0\.25"):
+        apply_boundaries(st, spec, 0.25, PARAMS)
 
 
 def test_discharge_rate_follows_time():

@@ -262,7 +262,8 @@ def write_build_inputs(tmp_path):
     ("scenario.cfg", "spinup_q = 0.5", "spinup_q: 0.5", "line 6: expected 'key = value', got 'spinup_q: 0.5'"),
     ("riverbed.txt", "4 0", "4 west", "line 2: bad cell index in '4 west'"),
     ("hydro.txt", "5 2.0", "5 2.0 7", "hydrograph line 2: expected 't Q'"),
-], ids=["config", "riverbed-mask", "hydrograph"])
+    ("riverbed.txt", "3 0\n4 0\n", "# no cells yet\n", "no riverbed cells"),
+], ids=["config", "riverbed-mask", "hydrograph", "empty-riverbed-mask"])
 def test_run_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, old, new,
                                                               message):
     cfg = write_scenario(tmp_path)

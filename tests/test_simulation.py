@@ -26,12 +26,14 @@ from swflood.simulation import (
     MassBalance,
     MaximaMaps,
     _event_schedule,
+    _load_checkpoint,
+    _restart_digest,
+    _save_checkpoint,
     _write_summary,
-    load_checkpoint,
+    assemble,
     load_scenario,
     read_hydrograph,
     run,
-    save_checkpoint,
     scenario_discharge,
 )
 from swflood.solver import NumericalAbort
@@ -66,6 +68,17 @@ def test_hydrograph_single_knot_is_constant():
 def test_hydrograph_validation(times, flows, fragment):
     with pytest.raises(ValueError, match=fragment):
         Hydrograph(np.array(times), np.array(flows))
+
+
+@pytest.mark.parametrize("times, flows, field", [
+    ([0.0, 1.0], [1.0, math.nan], "flows"),
+    ([0.0, 1.0], [math.inf, 1.0], "flows"),
+    ([0.0, math.inf], [1.0, 2.0], "times"),
+    ([math.nan, 1.0], [1.0, 2.0], "times"),
+])
+def test_hydrograph_rejects_non_finite_knots(times, flows, field):
+    with pytest.raises(ValueError, match=f"hydrograph {field} must be finite"):
+        Hydrograph(times, flows)
 
 
 def test_read_hydrograph_comments_and_errors(tmp_path):
@@ -215,6 +228,24 @@ def test_load_scenario_rejects_non_finite_numbers(tmp_path, key, value):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("key", ["hydrograph", "riverbed_mask"])
+def test_load_scenario_rejects_an_inflow_file_without_a_discharge_edge(tmp_path, key):
+    # Neither file exists: the key is refused before anything reads it.
+    path = write_config(tmp_path, BASE_CONFIG + f"{key} = missing.txt\n"
+                        "boundary.east = free_outflow\n")
+    with pytest.raises(ConfigError, match=f"key '{key}' needs an edge set to 'discharge'"):
+        load_scenario(path)
+
+
+def test_load_scenario_rejects_an_empty_riverbed_mask(tmp_path):
+    cfg = make_scenario_files(tmp_path)
+    mask = tmp_path / "riverbed.txt"
+    mask.write_text("# the river is yet to be mapped\n")
+    with pytest.raises(ConfigError) as info:
+        load_scenario(cfg)
+    assert str(info.value) == f"{mask}: no riverbed cells"
+
+
 def test_load_scenario_missing_required_keys(tmp_path):
     path = write_config(tmp_path, "total_duration = 10\noutput_dir = out\n")
     with pytest.raises(ConfigError, match="missing required key 'dsm'"):
@@ -267,6 +298,10 @@ def small_state(seed=40):
     return st
 
 
+# Any 32 bytes serve as the digest of the format tests.
+DIGEST = bytes(range(32))
+
+
 def test_checkpoint_round_trip(tmp_path):
     st = small_state()
     params = PhysicalParams(manning_n=0.02)
@@ -274,13 +309,13 @@ def test_checkpoint_round_trip(tmp_path):
     maxima.update(st.h[INT], st.hu[INT], st.hv[INT], 3.5, params.h_dry)
     balance = MassBalance(initial_volume=12.5, inflow=3.0, outflow=1.0)
     path = tmp_path / "run.chk"
-    save_checkpoint(path, st, params, 3.5, 17, maxima, balance, 4)
+    _save_checkpoint(path, st, DIGEST, 3.5, 17, maxima, balance, 4)
 
     fresh = small_state()
     fresh.h[INT] = 0.0
     fresh.hu[INT] = 0.0
     fresh.hv[INT] = 0.0
-    t, step, maxima2, balance2, fallbacks = load_checkpoint(path, fresh, params)
+    t, step, maxima2, balance2, fallbacks = _load_checkpoint(path, fresh, DIGEST)
     assert (t, step, fallbacks) == (3.5, 17, 4)
     np.testing.assert_array_equal(fresh.h[INT], st.h[INT])
     np.testing.assert_array_equal(fresh.hu[INT], st.hu[INT])
@@ -291,52 +326,66 @@ def test_checkpoint_round_trip(tmp_path):
     assert balance2.initial_volume == 12.5
 
 
+def test_restart_digest_is_pinned(tmp_path):
+    # The digest earlier builds of the SWFCHK03 format wrote for this
+    # scenario; a change here makes their checkpoints refuse to load.
+    sc = load_scenario(make_scenario_files(tmp_path))
+    state, spec, _ = assemble(sc)
+    assert _restart_digest(sc, state, spec).hex() == (
+        "ada8a365d06108db77a8978264bb2cf365c2174a996fc3fb8425471b43ec3864"
+    )
+
+
 def test_checkpoint_rejects_other_scenarios(tmp_path):
-    st = small_state()
-    params = PhysicalParams(manning_n=0.02)
+    sc = load_scenario(make_scenario_files(tmp_path))
+    state, spec, _ = assemble(sc)
+    digest = _restart_digest(sc, state, spec)
+    bumpy = state.copy()  # different topography, same shape
+    bumpy.z[INT][3, 4] += 0.25
+    others = [
+        _restart_digest(replace(sc, params=replace(sc.params, manning_n=0.03)), state, spec),
+        _restart_digest(replace(sc, params=replace(sc.params, friction_full_velocity=True)),
+                        state, spec),
+        _restart_digest(sc, bumpy, spec),
+    ]
+    assert len({digest, *others}) == 4
+
     path = tmp_path / "run.chk"
-    save_checkpoint(path, st, params, 0.0, 0, MaximaMaps.zeros(5, 6),
-                    MassBalance(initial_volume=0.0), 0)
-    with pytest.raises(ConfigError, match="different scenario"):
-        load_checkpoint(path, st, PhysicalParams(manning_n=0.03))
-    bumpy = small_state(seed=41)  # different topography, same shape
-    with pytest.raises(ConfigError, match="different scenario"):
-        load_checkpoint(path, bumpy, params)
-    coupled = PhysicalParams(manning_n=0.02, friction_full_velocity=True)
-    with pytest.raises(ConfigError, match="different scenario"):
-        load_checkpoint(path, st, coupled)
-    with pytest.raises(ConfigError, match="different scenario"):
-        load_checkpoint(path, st, params, identity=b"another hydrograph")
+    _save_checkpoint(path, state, digest, 0.0, 0, MaximaMaps.zeros(8, 10),
+                     MassBalance(initial_volume=0.0), 0)
+    for other in others:
+        with pytest.raises(ConfigError, match="different scenario"):
+            _load_checkpoint(path, state, other)
+    assert _load_checkpoint(path, state, digest)[:2] == (0.0, 0)
 
 
 def test_checkpoint_of_an_older_format_names_it(tmp_path):
     st = small_state()
     path = tmp_path / "run.chk"
-    save_checkpoint(path, st, PhysicalParams(), 0.0, 0, MaximaMaps.zeros(5, 6),
-                    MassBalance(initial_volume=0.0), 0)
+    _save_checkpoint(path, st, DIGEST, 0.0, 0, MaximaMaps.zeros(5, 6),
+                     MassBalance(initial_volume=0.0), 0)
     blob = path.read_bytes()
     assert blob.startswith(CHECKPOINT_MAGIC)
     for old in ("SWFCHK01", "SWFCHK02"):
         path.write_bytes(old.encode() + blob[len(CHECKPOINT_MAGIC):])
         with pytest.raises(ConfigError, match=f"has format {old}"):
-            load_checkpoint(path, st, PhysicalParams())
+            _load_checkpoint(path, st, DIGEST)
 
 
 def test_checkpoint_rejects_corrupt_files(tmp_path):
     st = small_state()
-    params = PhysicalParams()
     path = tmp_path / "run.chk"
-    save_checkpoint(path, st, params, 0.0, 0, MaximaMaps.zeros(5, 6),
-                    MassBalance(initial_volume=0.0), 0)
+    _save_checkpoint(path, st, DIGEST, 0.0, 0, MaximaMaps.zeros(5, 6),
+                     MassBalance(initial_volume=0.0), 0)
     blob = path.read_bytes()
     truncated = tmp_path / "short.chk"
     truncated.write_bytes(blob[:-8])
     with pytest.raises(ConfigError, match="does not match the grid size"):
-        load_checkpoint(truncated, st, params)
+        _load_checkpoint(truncated, st, DIGEST)
     garbage = tmp_path / "noise.chk"
     garbage.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ConfigError, match="not a checkpoint file"):
-        load_checkpoint(garbage, st, params)
+        _load_checkpoint(garbage, st, DIGEST)
 
 
 @pytest.mark.parametrize("length", [0, 3, 8, 20, 40, 50, 72, 103])
@@ -344,14 +393,13 @@ def test_checkpoint_cut_inside_its_header_names_the_file(tmp_path, length):
     # The header is the 8-byte magic, the 32-byte digest and 64 bytes of
     # step, time, grid size and balance; a cut anywhere in it is refused.
     st = small_state()
-    params = PhysicalParams()
     path = tmp_path / "run.chk"
-    save_checkpoint(path, st, params, 0.0, 0, MaximaMaps.zeros(5, 6),
-                    MassBalance(initial_volume=0.0), 0)
+    _save_checkpoint(path, st, DIGEST, 0.0, 0, MaximaMaps.zeros(5, 6),
+                     MassBalance(initial_volume=0.0), 0)
     cut = tmp_path / "cut.chk"
     cut.write_bytes(path.read_bytes()[:length])
     with pytest.raises(ConfigError, match=str(cut)):
-        load_checkpoint(cut, st, params)
+        _load_checkpoint(cut, st, DIGEST)
 
 
 # --------------------------------------------------------------------------
@@ -635,14 +683,13 @@ def test_failed_writes_keep_every_previous_output(tmp_path, monkeypatch):
         lambda: _write_summary(tmp_path, "aborted", 9, 4.0, balance, 1, 2), monkeypatch)
 
     st = small_state()
-    params = PhysicalParams()
     chk = tmp_path / "run.chk"
-    save_checkpoint(chk, st, params, 1.0, 3, MaximaMaps.zeros(5, 6),
-                    MassBalance(initial_volume=0.0), 0)
+    _save_checkpoint(chk, st, DIGEST, 1.0, 3, MaximaMaps.zeros(5, 6),
+                     MassBalance(initial_volume=0.0), 0)
     st.h[INT] += 1.0
-    assert_write_fails_and_keeps(chk, lambda: save_checkpoint(
-        chk, st, params, 2.0, 6, MaximaMaps.zeros(5, 6),
+    assert_write_fails_and_keeps(chk, lambda: _save_checkpoint(
+        chk, st, DIGEST, 2.0, 6, MaximaMaps.zeros(5, 6),
         MassBalance(initial_volume=0.0), 0), monkeypatch)
     fresh = small_state()
-    assert load_checkpoint(chk, fresh, params)[:2] == (1.0, 3)
+    assert _load_checkpoint(chk, fresh, DIGEST)[:2] == (1.0, 3)
     np.testing.assert_array_equal(fresh.h[INT], small_state().h[INT])
