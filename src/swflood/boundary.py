@@ -37,6 +37,7 @@ class EdgeCondition:
     # Total discharge m^3/s as a function of time; DISCHARGE only.
     discharge: Callable[[float], float] | None = None
     # Sorted along-edge interior indices receiving the inflow; DISCHARGE only.
+    # Negative ones raise here, ones at or past the edge's length at each fill.
     mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -46,6 +47,8 @@ class EdgeCondition:
             if self.mask is None or len(self.mask) == 0:
                 raise ValueError("DISCHARGE edge needs a non-empty riverbed mask")
             self.mask = np.unique(np.asarray(self.mask, dtype=np.int64))
+            if self.mask[0] < 0:
+                raise ValueError(f"riverbed mask index {self.mask[0]} is negative")
         elif self.discharge is not None or self.mask is not None:
             raise ValueError(f"{self.kind.value} edge takes no discharge or mask")
 
@@ -59,6 +62,7 @@ def free_outflow() -> EdgeCondition:
 
 
 def discharge(q_of_t: Callable[[float], float], mask) -> EdgeCondition:
+    """Inflow of q_of_t(t) m^3/s through ``mask``, along-edge indices in [0, length)."""
     return EdgeCondition(EdgeKind.DISCHARGE, discharge=q_of_t, mask=np.asarray(mask))
 
 
@@ -186,6 +190,10 @@ def _fill_edge(state: State, edge: str, cond: EdgeCondition, t: float,
     if cond.kind is EdgeKind.WALL:
         return 0
 
+    along = h.shape[1] - 2 * GHOSTS
+    if cond.mask[-1] >= along:
+        raise ValueError(f"{edge} riverbed mask index {cond.mask[-1]} is outside "
+                         f"the edge's {along} cells")
     width = state.dx if edge in ("north", "south") else state.dy
     q_total = cond.discharge(t)
     if not 0.0 <= q_total < math.inf:

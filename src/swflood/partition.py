@@ -29,7 +29,7 @@ from .solver import (
     euler_friction_stage,
     max_wave_speed,
 )
-from .state import PhysicalParams, State
+from .state import INT, PhysicalParams, State
 
 
 class BlockEngine:
@@ -101,8 +101,11 @@ class BlockEngine:
         Stage 2's box B2, found after the fill at t + dt, may reach beyond
         B1; the saved region then grows to the bounding box of both, and the
         new cells are copied from the state, which stage 1 did not change
-        there.  The Heun average and the final depth minimum cover that
-        region (see solver.combine_heun), and diag.region reports it.
+        there.  The Heun average covers that region (see solver.combine_heun).
+        diag.region reports it, or the whole interior after a depth rule
+        clamped in a stage or in the average (the clamp rewrites -0.0 depths
+        anywhere to +0.0); after a clamp in the average, diag.min_h is the
+        interior's minimum after it.
         """
         params, state = self.params, self.state
         apply_boundaries(state, self.spec, t, params)
@@ -111,14 +114,18 @@ class BlockEngine:
         if dt is None:
             dt = dt_from_wave_speed(speed, state.dx, state.dy, params)
         diag = StepDiagnostics(dt=dt, max_wave_speed=speed, min_h=np.inf)
-        region, saved = box, _saved(state, box)
+        region, saved = _grow(state, None, None, box)
         self._fill(t, diag)
         self._stage(dt, diag, box)
         self._fill(t + dt, diag)
         box = active_box(state)
         region, saved = _grow(state, region, saved, box)
         self._stage(dt, diag, box)
-        region, final = combine_heun(state, saved, region, params)
+        final = combine_heun(state, saved, region, params)
+        if min(diag.min_h, final) < 0.0:
+            region = (0, state.nrows, 0, state.ncols)
+            if final < 0.0:
+                final = float(state.h[INT].min())
         diag.min_h = min(diag.min_h, final)
         diag.region = region
         return diag
@@ -138,30 +145,24 @@ def rk2_step(state: State, params: PhysicalParams, boundary_spec: BoundarySpec,
     return BlockEngine(state, params, boundary_spec).step(t, dt)
 
 
-def _saved(state: State, box):
-    """Copies of h, hu and hv over the interior ``box``; None for no box."""
-    if box is None:
-        return None
-    cells = box_cells(box)
-    return state.h[cells].copy(), state.hu[cells].copy(), state.hv[cells].copy()
-
-
 def _grow(state: State, region, saved, box):
-    """``region`` grown to hold ``box``, with ``saved`` extended to match.
+    """``region`` grown to hold ``box``, with ``saved``, the copies of h, hu
+    and hv over it, extended to match; pass None for both to start them.
 
     Cells outside ``region`` still hold U^n, so the new ones are copied from
     the state.
     """
     if box is None:
         return region, saved
-    if region is None:
-        return box, _saved(state, box)
-    r0, r1, c0, c1 = region
-    grown = (min(r0, box[0]), max(r1, box[1]), min(c0, box[2]), max(c1, box[3]))
+    grown = box if region is None else (min(region[0], box[0]), max(region[1], box[1]),
+                                        min(region[2], box[2]), max(region[3], box[3]))
     if grown == region:
         return region, saved
-    wider = _saved(state, grown)
-    old = (slice(r0 - grown[0], r1 - grown[0]), slice(c0 - grown[2], c1 - grown[2]))
-    for dst, src in zip(wider, saved):
-        dst[old] = src
+    cells = box_cells(grown)
+    wider = state.h[cells].copy(), state.hu[cells].copy(), state.hv[cells].copy()
+    if region is not None:
+        r0, r1, c0, c1 = region
+        old = (slice(r0 - grown[0], r1 - grown[0]), slice(c0 - grown[2], c1 - grown[2]))
+        for dst, src in zip(wider, saved):
+            dst[old] = src
     return grown, wider

@@ -510,8 +510,8 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
         balance = MassBalance(initial_volume=state.total_volume())
 
     engine = BlockEngine(state, params, spec, nblocks=blocks)
-    last_good = engine.gather()
-    last_good_t = t
+    # The last completed state: a failed step raises before current or t moves.
+    current = engine.gather()
     status = "completed"
     try:
         while t < scenario.total_duration:
@@ -533,7 +533,6 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
             if diag.region is not None:
                 maxima.update(current.h[INT], current.hu[INT], current.hv[INT],
                               t, params.h_dry, diag.region)
-            last_good, last_good_t = current, t
 
             if t in snapshot_times:
                 _write_snapshot(outdir, grid, current, format(t, stamp), params)
@@ -544,14 +543,14 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     except NumericalAbort as exc:
         status = "aborted"
         logger.error("numerical abort at step %d, t = %.6f: %s", step + 1, t, exc)
-        _write_snapshot(outdir, grid, last_good, "abort_" + format(last_good_t, stamp), params)
-        balance.final_volume = last_good.total_volume()
-        _write_summary(outdir, status, step, last_good_t, balance, fallbacks, blocks)
+        _write_snapshot(outdir, grid, current, "abort_" + format(t, stamp), params)
+        balance.final_volume = current.total_volume()
+        _write_summary(outdir, status, step, t, balance, fallbacks, blocks)
         raise
     finally:
         engine.close()
 
-    balance.final_volume = last_good.total_volume()
+    balance.final_volume = current.total_volume()
     for name in ("max_h", "max_speed", "time_of_max_h"):
         save_raster(outdir / f"{name}.asc", replace(grid, values=getattr(maxima, name)),
                     SNAPSHOT_PRECISION)
@@ -561,7 +560,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
         step, t, balance.closure(),
     )
     return RunResult(
-        state=last_good, maxima=maxima, balance=balance, steps=step,
+        state=current, maxima=maxima, balance=balance, steps=step,
         final_t=t, critical_inflow_fallbacks=fallbacks, output_dir=outdir,
     )
 

@@ -304,38 +304,35 @@ def _check_and_zero_dry(h, hu, hv, h_dry, context) -> float:
     return float(h.min())
 
 
-def _clamp_depth(h, min_h, context, origin, interior) -> float:
-    """Clamp roundoff-negative depths of the ``interior`` in place; worse ones abort.
-
-    ``min_h`` is the interior's minimum, found in ``h``, a box of it whose
-    first element is interior cell ``origin``; a depth too negative aborts
-    naming the first cell of ``h`` holding it.  Returns ``min_h``.
-    """
-    if min_h < -POSITIVITY_TOL:
-        r, c = np.unravel_index(int(np.argmin(h)), h.shape)
-        raise NumericalAbort(
-            f"negative depth {min_h:.3e} at cell ({origin[0] + r}, {origin[1] + c}) "
-            f"after {context}"
-        )
-    if min_h < 0.0:
-        np.maximum(interior, 0.0, out=interior)
-    return min_h
-
-
 def box_cells(box):
     """Padded-array index of the interior cells of ``box`` = (r0, r1, c0, c1)."""
     r0, r1, c0, c1 = box
     return slice(r0 + GHOSTS, r1 + GHOSTS), slice(c0 + GHOSTS, c1 + GHOSTS)
 
 
-def interior_min(state: State, box, box_min: float) -> float:
-    """The interior's minimum depth, given ``box_min``, the minimum over ``box``.
+def _depth_rule(state: State, box, box_min: float, context: str) -> float:
+    """Apply the whole-grid depth rule after a pass that changed only ``box``.
 
-    Cells outside the box are not live, so they hold depth +0.0 or -0.0.
+    ``box_min`` is the minimum depth over the box.  Cells outside it are not
+    live, so they hold depth +0.0 or -0.0 and the interior's minimum is
+    min(box_min, 0.0) unless the box is the whole interior.  A minimum below
+    -POSITIVITY_TOL aborts naming the first cell of the box holding it; a
+    roundoff-negative one clamps the whole interior in place, which also
+    rewrites -0.0 depths outside the box to +0.0.  Returns the interior's
+    minimum before the clamp.
     """
-    if (box[1] - box[0], box[3] - box[2]) == (state.nrows, state.ncols):
-        return box_min
-    return min(box_min, 0.0)
+    r0, r1, c0, c1 = box
+    if (r1 - r0, c1 - c0) != (state.nrows, state.ncols):
+        box_min = min(box_min, 0.0)
+    if box_min < -POSITIVITY_TOL:
+        h = state.h[box_cells(box)]
+        r, c = np.unravel_index(int(np.argmin(h)), h.shape)
+        raise NumericalAbort(
+            f"negative depth {box_min:.3e} at cell ({r0 + r}, {c0 + c}) after {context}"
+        )
+    if box_min < 0.0:
+        np.maximum(state.h[INT], 0.0, out=state.h[INT])
+    return box_min
 
 
 def active_box(state: State):
@@ -419,43 +416,33 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
         return min_h
 
     min_h = min(_run_strips(map, update, _strips(r1 - r0, c1 - c0 + 2 * GHOSTS)))
-    # Once any depth is negative the whole interior is clamped, as one
-    # whole-grid pass would; a depth too negative aborts naming its first cell.
-    edges.min_h = _clamp_depth(state.h[box_cells(box)], interior_min(state, box, min_h),
-                               "hyperbolic stage", (r0, c0), state.h[INT])
+    edges.min_h = _depth_rule(state, box, min_h, "hyperbolic stage")
     return edges
 
 
-def combine_heun(state: State, saved, box, params: PhysicalParams):
+def combine_heun(state: State, saved, box, params: PhysicalParams) -> float:
     """U^(n+1) = (U^n + U2) / 2 over ``box``, preserving nonnegativity and dry momentum.
 
     ``box`` bounds every cell the two stages changed and ``saved`` holds
-    U^n = (h, hu, hv) over it.  Outside it U2 is U^n bit for bit and no cell
-    is live (h = +-0, hu = hv = +0), so 0.5 * (x + x) == x and the dry reset
-    changes nothing: a whole-grid pass leaves those cells as they are.  Every
-    non-finite cell is live, so the finiteness check misses none.  The depth
-    rules keep their whole-grid form: the minimum counts the zero depths
-    outside the box, a too-negative depth aborts naming its first cell, and
-    a roundoff-negative minimum clamps the whole interior, which rewrites
-    -0.0 depths outside the box to +0.0.  Returns the region the average
-    changed, ``box`` or the whole interior when the clamp ran, and the
-    interior's minimum depth after the average.
+    U^n = (h, hu, hv) over it.  Outside it no cell is live (h = +-0,
+    hu = hv = +0) and U2 is U^n, but for -0.0 depths that a stage's clamp
+    rewrote to +0.0; since 0.5 * (x + x) == x and 0.5 * (-0.0 + 0.0) == +0.0,
+    and the dry reset changes nothing there, a whole-grid pass leaves those
+    cells as U2 holds them.  Every non-finite cell is live, so the
+    finiteness check misses none.  The average then runs the depth rule (see
+    _depth_rule) and returns the interior's minimum depth before its clamp;
+    0.0 for a None box.
     """
     if box is None:
-        return None, 0.0
+        return 0.0
     cells = box_cells(box)
     h_n, hu_n, hv_n = saved
     state.h[cells] = 0.5 * (h_n + state.h[cells])
     state.hu[cells] = 0.5 * (hu_n + state.hu[cells])
     state.hv[cells] = 0.5 * (hv_n + state.hv[cells])
-    h = state.h[cells]
-    min_h = _check_and_zero_dry(h, state.hu[cells], state.hv[cells], params.h_dry,
-                                "Heun average")
-    min_h = _clamp_depth(h, interior_min(state, box, min_h), "Heun average",
-                         (box[0], box[2]), state.h[INT])
-    if min_h >= 0.0:
-        return box, min_h
-    return (0, state.nrows, 0, state.ncols), float(state.h[INT].min())
+    min_h = _check_and_zero_dry(state.h[cells], state.hu[cells], state.hv[cells],
+                                params.h_dry, "Heun average")
+    return _depth_rule(state, box, min_h, "Heun average")
 
 
 def accumulate_edge_volumes(diag: StepDiagnostics, edges: StageFluxes,

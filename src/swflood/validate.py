@@ -86,8 +86,7 @@ class CaseResult:
     linf: float
 
 
-def strip_state(case: analytic.AnalyticalCase, n: int,
-                g: float = 9.81) -> tuple[State, np.ndarray]:
+def strip_state(case: analytic.AnalyticalCase, n: int) -> tuple[State, np.ndarray]:
     """A 3-row y-invariant strip initialized from the case; returns cell centers."""
     dx = case.length / n
     x = (np.arange(n) + 0.5) * dx
@@ -104,7 +103,7 @@ def run_case(case: analytic.AnalyticalCase, n: int,
     """Advance the strip to the case horizon and compare h on the middle row."""
     if params is None:
         params = PhysicalParams()
-    state, x = strip_state(case, n, params.g)
+    state, x = strip_state(case, n)
     spec = BoundarySpec.walls()
     t = 0.0
     while t < case.horizon:

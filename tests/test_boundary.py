@@ -51,6 +51,25 @@ def test_discharge_mask_deduplicated_and_sorted():
     np.testing.assert_array_equal(cond.mask, [2, 3, 5])
 
 
+@pytest.mark.parametrize("mask", [[-1], [-5], [3, -1]])
+def test_discharge_mask_rejects_negative_indices(mask):
+    with pytest.raises(ValueError, match=f"riverbed mask index {min(mask)} is negative"):
+        discharge(lambda t: 1.0, mask)
+
+
+@pytest.mark.parametrize("edge, mask, length", [
+    ("north", [10], 10), ("north", [3, 12], 10), ("south", [10], 10), ("west", [6], 6),
+])
+def test_discharge_mask_past_its_edge_rejected(edge, mask, length):
+    # A 6x10 grid: index 10 of the north edge would feed a corner ghost.
+    st = State(6, 10, 1.0, 1.0, np.zeros((6, 10)))
+    conditions = dict.fromkeys(("north", "south", "east", "west"), wall())
+    conditions[edge] = discharge(lambda t: 1.0, mask)
+    with pytest.raises(ValueError, match=f"{edge} riverbed mask index {max(mask)} "
+                                         f"is outside the edge's {length} cells"):
+        apply_boundaries(st, BoundarySpec(**conditions), 0.0, PARAMS)
+
+
 # --------------------------------------------------------------------------
 # Wall and free outflow fills
 # --------------------------------------------------------------------------

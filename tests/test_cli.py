@@ -1,6 +1,5 @@
 """Tests for the command-line interface: parsing, exit codes, workflows."""
 
-import builtins
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ from swflood import raster
 from swflood.cli import UsageError, _resolve_blocks, main, parse_args
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.simulation import ConfigError
-from test_simulation import HalfWriter
+from full_disk import half_writing_open
 
 
 # --------------------------------------------------------------------------
@@ -308,8 +307,7 @@ def test_validate_report_write_that_fails_keeps_the_previous_report(tmp_path, mo
     argv = ["validate", "--case", "lake-at-rest", "--n", "16", "--report", str(report)]
     assert main(argv) == 0
     before = report.read_bytes()
-    monkeypatch.setattr(raster, "open", lambda *a, **k: HalfWriter(builtins.open(*a, **k)),
-                        raising=False)
+    monkeypatch.setattr(raster, "open", half_writing_open, raising=False)
     assert main(argv) == 1
     assert report.read_bytes() == before
     assert list(tmp_path.iterdir()) == [report]

@@ -338,9 +338,7 @@ def engine_run(case, nthreads):
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(cases())
-def test_engine_step_and_maxima_equal_the_whole_grid_reference(case):
+def assert_engine_equals_reference(case):
     expected = reference_run(case)
     for nthreads in (1, 2, 3):
         got = engine_run(case, nthreads)
@@ -353,6 +351,38 @@ def test_engine_step_and_maxima_equal_the_whole_grid_reference(case):
             assert g[0] == e[0], f"{where}: fields differ"
             assert g[1] == e[1], f"{where}: diagnostics differ"
             assert g[2] == e[2], f"{where}: maxima differ"
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_engine_step_and_maxima_equal_the_whole_grid_reference(case):
+    assert_engine_equals_reference(case)
+
+
+def test_a_stage_clamp_updates_the_maxima_of_the_whole_interior():
+    # A flat walled grid at rest: row 0 is wet and cell (2, 1) roundoff-negative.
+    # Stage 1 does not reach that cell, so its depth rule clamps the whole
+    # interior, rewriting the -0.0 depths of rows 9-11 to +0.0; stage 2 wets
+    # it, so the Heun average clamps nothing.  The two stage boxes end at
+    # row 5, yet max_h must take the +0.0 of rows 9-11, as the whole-grid
+    # reference does.
+    h = np.zeros((13, 2))
+    h[0] = 0.3
+    h[2, 1] = -5e-14
+    h[9:12] = -0.0
+    zeros = np.zeros_like(h)
+    case = Case(
+        z=zeros, dx=1.0, h=h, hu=zeros, hv=zeros,
+        edges=dict.fromkeys(("north", "south", "east", "west"), ("wall", None, None, None)),
+        params=PhysicalParams(), steps=1, strip_cells=1, via_compute_dt=False,
+    )
+    assert_engine_equals_reference(case)
+
+    state, spec = case.build()
+    diag = BlockEngine(state, case.params, spec).step(0.0)
+    assert diag.min_h == -5e-14
+    assert diag.region == (0, 13, 0, 2)
+    assert (state.h[INT] > 0.0)[:3].all()
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for scenario configuration, the run driver, and checkpointing."""
 
-import builtins
-import errno
 import io
 import math
 from dataclasses import replace
@@ -38,6 +36,7 @@ from swflood.simulation import (
 )
 from swflood.solver import NumericalAbort
 from swflood.state import INT, PhysicalParams, State
+from full_disk import half_writing_open
 
 
 # --------------------------------------------------------------------------
@@ -616,31 +615,12 @@ def test_run_abort_writes_last_good_state(tmp_path):
 # --------------------------------------------------------------------------
 
 
-class HalfWriter:
-    """File wrapper that stores half of the first write, then fails like a full disk."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        self.fh.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def assert_write_fails_and_keeps(path, write, monkeypatch):
     """``write`` must raise partway, leaving ``path`` and its directory as they were."""
     before = path.read_bytes()
     listing = sorted(path.parent.iterdir())
     with monkeypatch.context() as m:
-        m.setattr(raster, "open", lambda *a, **k: HalfWriter(builtins.open(*a, **k)),
-                  raising=False)
+        m.setattr(raster, "open", half_writing_open, raising=False)
         with pytest.raises(OSError, match="No space left"):
             write()
     assert path.read_bytes() == before
