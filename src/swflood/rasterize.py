@@ -1,6 +1,7 @@
 """Rasterization of classified features onto a grid and DSM extrusion.
 
-All selected features are rasterized together, in whole-array numpy passes:
+The selected features are rasterized in batches of _BATCH_FEATURES
+consecutive features, each batch in whole-array numpy passes:
 
 - A point contributes the cell that holds it.
 - Every segment of every LINE and POLYGON is split where it crosses a
@@ -18,7 +19,8 @@ All selected features are rasterized together, in whole-array numpy passes:
   crossings, not with bounding box times edges.
 
 Extrusion raises the terrain by the cellwise maximum of all contributed
-feature heights.
+feature heights, one batch after another, so a build holds the DSM and one
+batch's contributions whatever the number of features.
 
 The result is bitwise that of walking one feature, segment and cell at a time
 in Python.  Each float expression keeps that walk's form and order:
@@ -27,7 +29,9 @@ in Python.  Each float expression keeps that walk's form and order:
 ``ceil((xa - xll)/cs - 0.5)``.  numpy's float64 ``+ - * / floor ceil`` are the
 IEEE operations Python floats use, so every cell index and z has the same
 bits, and the contributions come out in the walk's order.  Divisions run only
-on the lanes that are kept, so no discarded lane can warn.
+on the lanes that are kept, so no discarded lane can warn.  Batches keep that
+order too, and raising them one after another gives the bits of raising all
+contributions at once (see _raise).
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ from .features import ClassifiedFeature, FeatureKind, close_lines, select_classe
 from .raster import RasterGrid
 
 logger = logging.getLogger(__name__)
+
+# Features rasterized and raised together by build_dsm.  A contribution's
+# temporaries take about 90 B, so a batch of building-sized features holds a
+# few MB next to the 8 B/cell of the DSM.  Larger batches were no faster, and
+# batches of 256 or fewer began to pay for their fixed count of numpy calls.
+_BATCH_FEATURES = 512
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,20 +217,24 @@ def _contributions(features: list[ClassifiedFeature], grid: RasterGrid):
     return rows, cols, z
 
 
-def _raise(values: np.ndarray, nodata: float, rows, cols, z) -> None:
-    """Raise values[rows, cols] to z in place where z is higher.
+def _raise(values: np.ndarray, terrain: np.ndarray, nodata: float, rows, cols, z) -> int:
+    """Raise values[rows, cols] to z in place where z is higher; return the skips.
 
     The result is that of ``if z > value: value = z`` over the contributions
     in order: never lower than before and, up to the sign of a zero,
-    independent of their order.  Contributions on nodata cells are skipped
-    with a warning.
+    independent of their order.  Contributions on cells where the terrain
+    holds nodata are skipped and counted.
+
+    Calls on consecutive batches of contributions give the bits of one call on
+    all of them.  Nodata is tested on the terrain, which no call changes, so a
+    cell an earlier batch raised to exactly the nodata value still counts as
+    data.  The signed-zero rule "the first contribution wins" holds across
+    batches: a zero only enters where it is above the value before its own
+    batch, and a value an earlier zero set is a zero, which no later zero is
+    above.
     """
-    base = values[rows, cols]
-    on_data = base != nodata
-    skipped = len(z) - int(np.count_nonzero(on_data))
-    if skipped:
-        logger.warning("skipped %d feature cell(s) on nodata terrain", skipped)
-    up = on_data & (z > base)
+    on_data = terrain[rows, cols] != nodata
+    up = on_data & (z > values[rows, cols])
     rows, cols, z = rows[up], cols[up], z[up]
     np.maximum.at(values, (rows, cols), z)
     # np.maximum may keep either of a tied +0.0 and -0.0; the first one wins.
@@ -230,6 +244,23 @@ def _raise(values: np.ndarray, nodata: float, rows, cols, z) -> None:
         first = zero[np.unique(cell, return_index=True)[1]]
         first = first[values[rows[first], cols[first]] == 0.0]
         values[rows[first], cols[first]] = z[first]
+    return len(on_data) - int(np.count_nonzero(on_data))
+
+
+def _check_finite(batch, start, features, class_ids) -> None:
+    """Raise ValueError if a vertex of the batch is not finite.
+
+    ``batch`` holds the selected features from index ``start`` on; the error
+    names the first such feature by its class id and its index in
+    ``features``, found only once one is known to exist.
+    """
+    if np.isfinite(np.concatenate([f.vertices for f in batch])).all():
+        return
+    k = start + next(i for i, f in enumerate(batch) if not np.isfinite(f.vertices).all())
+    index = [i for i, f in enumerate(features) if f.class_id in class_ids][k]
+    raise ValueError(
+        f"feature {index} (class {features[index].class_id}) has a non-finite vertex"
+    )
 
 
 def build_dsm(
@@ -238,14 +269,27 @@ def build_dsm(
     class_ids: set[int],
     close_tolerance: float = 0.1,
 ) -> RasterGrid:
-    """Select classes, close nearly-closed lines, rasterize and extrude."""
+    """Select classes, close nearly-closed lines, rasterize and extrude.
+
+    The selected features are rasterized and raised in input order, a batch
+    of _BATCH_FEATURES at a time, onto one copy of the DTM: peak memory is the
+    DSM plus one batch, whatever the number of features.  A selected feature
+    with a non-finite vertex is a ValueError naming it.
+    """
     if not class_ids:
         raise ValueError("class selection is empty")
     selected = close_lines(select_classes(features, class_ids), close_tolerance)
-    rows, cols, z = _contributions(selected, dtm)
-    logger.info(
-        "rasterized %d feature(s) into %d cell contribution(s)", len(selected), len(z)
-    )
     dsm = dtm.copy()
-    _raise(dsm.values, dsm.nodata, rows, cols, z)
+    contributed = skipped = 0
+    for start in range(0, len(selected), _BATCH_FEATURES):
+        batch = selected[start : start + _BATCH_FEATURES]
+        _check_finite(batch, start, features, class_ids)
+        rows, cols, z = _contributions(batch, dtm)
+        contributed += len(z)
+        skipped += _raise(dsm.values, dtm.values, dtm.nodata, rows, cols, z)
+    logger.info(
+        "rasterized %d feature(s) into %d cell contribution(s)", len(selected), contributed
+    )
+    if skipped:
+        logger.warning("skipped %d feature cell(s) on nodata terrain", skipped)
     return dsm

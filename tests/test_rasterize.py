@@ -8,6 +8,8 @@ col floor(x).
 import hashlib
 import logging
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from swflood import rasterize
 from swflood.features import ClassifiedFeature, FeatureKind, close_lines, select_classes
 from swflood.raster import RasterGrid
 from swflood.rasterize import _contributions, _raise, build_dsm
@@ -37,11 +40,11 @@ def contributions(feature, grid):
 
 
 def raised(dtm, cells):
-    """The DTM values raised through _raise by [((row, col), z)] contributions."""
+    """(DTM values raised through _raise by [((row, col), z)] contributions, skips)."""
     values = dtm.values.copy()
     rows, cols = np.array([cell for cell, _ in cells], dtype=np.intp).reshape(-1, 2).T
-    _raise(values, dtm.nodata, rows, cols, np.array([z for _, z in cells], dtype=np.float64))
-    return values
+    z = np.array([z for _, z in cells], dtype=np.float64)
+    return values, _raise(values, dtm.values, dtm.nodata, rows, cols, z)
 
 
 def cells_of(contribs):
@@ -185,7 +188,7 @@ def make_dtm(values):
 
 def test_extrude_takes_cellwise_max():
     dtm = make_dtm([[1.0, 5.0], [1.0, 1.0]])
-    values = raised(dtm, [((0, 0), 3.0), ((0, 1), 3.0), ((0, 0), 2.0)])
+    values, _ = raised(dtm, [((0, 0), 3.0), ((0, 1), 3.0), ((0, 0), 2.0)])
     np.testing.assert_array_equal(values, [[3.0, 5.0], [1.0, 1.0]])
 
 
@@ -194,7 +197,7 @@ def test_extrude_never_lowers_terrain():
     dtm = make_dtm(rng.uniform(0.0, 10.0, size=(8, 8)))
     cells = [((int(r), int(c)), float(z))
              for r, c, z in rng.uniform(0, 8, size=(50, 3))]
-    assert (raised(dtm, cells) >= dtm.values).all()
+    assert (raised(dtm, cells)[0] >= dtm.values).all()
 
 
 def test_extrude_is_order_independent():
@@ -202,19 +205,24 @@ def test_extrude_is_order_independent():
     dtm = make_dtm(rng.uniform(0.0, 10.0, size=(6, 6)))
     cells = [((int(r), int(c)), float(z))
              for r, c, z in rng.uniform(0, 6, size=(40, 3))]
-    base = raised(dtm, cells)
+    base = raised(dtm, cells)[0]
     for _ in range(5):
         rng.shuffle(cells)
-        np.testing.assert_array_equal(raised(dtm, cells), base)
+        np.testing.assert_array_equal(raised(dtm, cells)[0], base)
 
 
-def test_extrude_skips_nodata_cells_with_warning(caplog):
+def test_extrude_skips_nodata_cells_with_warning():
     dtm = make_dtm([[1.0, -9999.0]])
-    with caplog.at_level(logging.WARNING):
-        values = raised(dtm, [((0, 1), 4.0), ((0, 0), 4.0)])
+    values, skipped = raised(dtm, [((0, 1), 4.0), ((0, 0), 4.0)])
     assert values[0, 1] == -9999.0
     assert values[0, 0] == 4.0
-    assert "skipped 1" in caplog.text
+    assert skipped == 1
+    # build_dsm warns once, with the total over its batches.
+    posts = [feat(FeatureKind.POINT, (x, 0.5, 4.0)) for x in (1.5, 0.5, 1.2)]
+    with Warnings("swflood.rasterize") as warned:
+        dsm = build_dsm(dtm, posts, {1})
+    assert dsm.values.tobytes() == values.tobytes()
+    assert warned.messages == ["skipped 2 feature cell(s) on nodata terrain"]
 
 
 # --------------------------------------------------------------------------
@@ -516,10 +524,9 @@ def test_nodata_cells_are_those_of_the_terrain():
     # A cell raised to exactly the nodata value is still terrain: a later,
     # higher contribution raises it further and none is counted as skipped.
     dtm = RasterGrid(1, 1, 0.0, 0.0, 1.0, 0.0, np.array([[-1.0]]))
-    with Warnings("swflood.rasterize") as warned:
-        values = raised(dtm, [((0, 0), 0.0), ((0, 0), 5.0)])
+    values, skipped = raised(dtm, [((0, 0), 0.0), ((0, 0), 5.0)])
     assert values[0, 0] == 5.0
-    assert warned.messages == []
+    assert skipped == 0
 
 
 def test_signed_zero_ties_keep_the_first_contribution():
@@ -527,11 +534,11 @@ def test_signed_zero_ties_keep_the_first_contribution():
     dtm = make_dtm([[-1.0]])
     for first, second in ((-0.0, 0.0), (0.0, -0.0)):
         cells = [((0, 0), first), ((0, 0), second)]
-        assert raised(dtm, cells).tobytes() == ref_extrude(dtm, cells).values.tobytes()
+        assert raised(dtm, cells)[0].tobytes() == ref_extrude(dtm, cells).values.tobytes()
     # A contribution equal to the terrain leaves the terrain's zero.
     dtm = make_dtm([[0.0, -0.0]])
     cells = [((0, 0), -0.0), ((0, 1), 0.0)]
-    assert raised(dtm, cells).tobytes() == dtm.values.tobytes()
+    assert raised(dtm, cells)[0].tobytes() == dtm.values.tobytes()
     # Across features, the earlier feature decides, whatever its kind.
     dtm = make_dtm(np.full((2, 2), -1.0))
     wall = feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (1.5, 0.5, 0.0))
@@ -584,3 +591,82 @@ def test_seeded_town_dsm_bytes_are_pinned():
     assert dsm.values.tobytes() == expected.values.tobytes()
     assert warned == ref_warned
     assert hashlib.sha256(dsm.values.tobytes()).hexdigest() == TOWN_DSM_SHA256
+
+
+# --------------------------------------------------------------------------
+# Batches
+# --------------------------------------------------------------------------
+
+
+def test_a_cell_raised_to_nodata_by_one_batch_is_raised_by_the_next():
+    # The first batch raises the -1 cell to exactly the nodata value 0.0; the
+    # second still finds terrain there, raises it and skips nothing.
+    dtm = RasterGrid(1, 1, 0.0, 0.0, 1.0, 0.0, np.array([[-1.0]]))
+    posts = [feat(FeatureKind.POINT, (0.5, 0.5, z)) for z in (0.0, 5.0)]
+    with patch.object(rasterize, "_BATCH_FEATURES", 1), \
+            Warnings("swflood.rasterize") as warned:
+        dsm = build_dsm(dtm, posts, {1})
+    assert dsm.values[0, 0] == 5.0
+    assert warned.messages == []
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_ties_across_batches_keep_the_first(first, second):
+    dtm = make_dtm([[-1.0]])
+    posts = [feat(FeatureKind.POINT, (0.5, 0.5, z)) for z in (first, second)]
+    with patch.object(rasterize, "_BATCH_FEATURES", 1):
+        dsm = build_dsm(dtm, posts, {1})
+    assert dsm.values.tobytes() == np.array([[first]]).tobytes()
+
+
+def test_non_finite_vertices_are_an_error():
+    nan, inf = math.nan, math.inf
+    dtm = make_dtm(np.zeros((10, 10)))
+    # An unselected feature may hold anything, but it counts in the index.
+    unselected = feat(FeatureKind.POINT, (nan, 0.5, 2.0), class_id=2)
+    post = feat(FeatureKind.POINT, (1.5, 0.5, 2.0))
+    assert build_dsm(dtm, [unselected, post], {1}).values[9, 1] == 2.0
+    for bad in (
+        feat(FeatureKind.LINE, (nan, 1.5, 1.0), (3.5, 3.5, 1.0), class_id=7),
+        feat(FeatureKind.LINE, (inf, 1.5, 1.0), (3.5, 3.5, 1.0), class_id=7),
+        feat(FeatureKind.LINE, (0.5, 1.5, 1.0), (3.5, nan, 1.0), class_id=7),
+        feat(FeatureKind.POINT, (0.5, 1.5, nan), class_id=7),
+        feat(FeatureKind.POLYGON, (1.0, 1.0, 1.0), (4.0, 1.0, inf), (4.0, 4.0, 1.0),
+             (1.0, 1.0, 1.0), class_id=7),
+    ):
+        with pytest.raises(ValueError, match=r"^feature 2 \(class 7\) has a non-finite vertex$"):
+            build_dsm(dtm, [post, unselected, bad, post], {1, 7})
+
+
+# The build tests above, rerun with batches of 1 and 3 features, so that
+# features, ties and nodata cells meet across batch seams.
+BATCHED = [
+    test_build_dsm_matches_reference_bitwise,
+    test_seeded_town_dsm_bytes_are_pinned,
+    test_extrude_skips_nodata_cells_with_warning,
+    test_nodata_terrain_skips_as_reference_does,
+    test_signed_zero_ties_keep_the_first_contribution,
+    test_non_finite_vertices_are_an_error,
+]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("test", BATCHED, ids=lambda test: test.__name__)
+def test_in_small_batches(test, batch):
+    with patch.object(rasterize, "_BATCH_FEATURES", batch):
+        test()
+
+
+def test_build_dsm_peak_memory_is_flat_in_the_feature_count():
+    # Four times the features add the selected list and a heavier worst
+    # batch, not four times the contributions.
+    peaks = []
+    for count in (2000, 8000):
+        dtm, features = seeded_town(11, count=count)
+        tracemalloc.start()
+        try:
+            build_dsm(dtm, features, {1})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
