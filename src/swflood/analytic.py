@@ -36,22 +36,21 @@ def parabolic_bump(x) -> np.ndarray:
     return np.maximum(0.0, 0.2 - 0.05 * (x - 10.0) ** 2)
 
 
-def lake_at_rest_case(surface: float, topography=parabolic_bump,
-                      length: float = 25.0, horizon: float = 5.0,
-                      name: str = "lake-at-rest") -> AnalyticalCase:
-    """Still water at the given surface level; the exact solution is the
-    initial state for all time.  A surface below the topography crest gives
-    the emerged variant with a dry patch."""
+def lake_at_rest_case(surface: float, name: str) -> AnalyticalCase:
+    """Still water at the given surface level over the parabolic bump of a
+    25 m reach, run for 5 s; the exact solution is the initial state for all
+    time.  A surface below the bump's crest gives the emerged variant with a
+    dry patch."""
 
     def initial(x):
-        z = topography(x)
+        z = parabolic_bump(x)
         h = np.maximum(surface - z, 0.0)
         return h, np.zeros_like(h)
 
     def exact(x, t):
         return initial(x)
 
-    return AnalyticalCase(name, length, topography, initial, exact, horizon)
+    return AnalyticalCase(name, 25.0, parabolic_bump, initial, exact, 5.0)
 
 
 def ritter_solution(x, t: float, x0: float, h_l: float, g: float):

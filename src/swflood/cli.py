@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -72,8 +73,8 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv) -> argparse.Namespace:
     ns = _build_parser().parse_args(argv)
-    if ns.command == "build-dsm" and ns.close_tolerance < 0:
-        raise UsageError("--close-tolerance must be nonnegative")
+    if ns.command == "build-dsm" and not 0 <= ns.close_tolerance < math.inf:
+        raise UsageError("--close-tolerance must be finite and nonnegative")
     if ns.command == "run" and ns.blocks is not None and ns.blocks < 1:
         raise UsageError("--blocks must be at least 1")
     if ns.command == "validate" and ns.n < 10:

@@ -182,8 +182,8 @@ def close_lines(
     ``tolerance`` becomes a POLYGON with the last vertex snapped onto the
     first.  Other features pass through unchanged; order is preserved.
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     out = []
     for f in features:
         if f.kind is FeatureKind.LINE and len(f.vertices) >= 3:

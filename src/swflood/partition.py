@@ -145,6 +145,14 @@ def rk2_step(state: State, params: PhysicalParams, boundary_spec: BoundarySpec,
     return BlockEngine(state, params, boundary_spec).step(t, dt)
 
 
+def land(t: float, dt: float, target: float) -> tuple[float, float]:
+    """The step from t and the time it reaches: dt, cut to land exactly on
+    ``target`` when t + dt would reach or pass it."""
+    if t + dt >= target:
+        return target - t, target
+    return dt, t + dt
+
+
 def _grow(state: State, region, saved, box):
     """``region`` grown to hold ``box``, with ``saved``, the copies of h, hu
     and hv over it, extended to match; pass None for both to start them.

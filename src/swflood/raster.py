@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import math
 import os
 import uuid
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ class RasterGrid:
 
     ``values`` is a row-major (nrows, ncols) float array; row 0 is the
     northernmost row.  Every value is either finite or exactly equal to
-    ``nodata``.
+    ``nodata``, which is not NaN; the origin and cell size are finite.
     """
 
     ncols: int
@@ -64,6 +65,11 @@ class RasterGrid:
             raise ValueError(f"grid dimensions must be positive, got {self.nrows}x{self.ncols}")
         if not self.cellsize > 0:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
+        for name in ("xll", "yll", "cellsize"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.nodata):  # no cell could equal it
+            raise ValueError("nodata must not be NaN")
         if self.values is None:
             self.values = np.full((self.nrows, self.ncols), self.nodata, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)

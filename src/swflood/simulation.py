@@ -27,7 +27,7 @@ from .boundary import (
     edge_mask_from_cells,
     read_riverbed_mask,
 )
-from .partition import BlockEngine
+from .partition import BlockEngine, land
 from .raster import RasterGrid, atomic_open, data_lines, load_raster, read_input, save_raster
 from .solver import NumericalAbort
 from .state import INT, PhysicalParams, State, velocity
@@ -223,7 +223,7 @@ def load_scenario(path) -> Scenario:
         ),
     )
     if not n_discharge:
-        for key in ("riverbed_mask", "hydrograph"):
+        for key in ("riverbed_mask", "hydrograph", "spinup_q", "spinup_duration"):
             if key in raw:
                 raise ConfigError(f"key {key!r} needs an edge set to 'discharge'")
         return scenario
@@ -289,21 +289,19 @@ class MaximaMaps:
         shape = (nrows, ncols)
         return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
-    def update(self, h, hu, hv, t: float, h_dry: float, box=None) -> None:
-        """Fold the interior fields at time t in; ``box`` = (r0, r1, c0, c1)
-        limits the update to rows r0:r1 and columns c0:c1.
+    def update(self, h, hu, hv, t: float, h_dry: float, box) -> None:
+        """Fold the interior fields at time t in over ``box`` = (r0, r1, c0,
+        c1), rows r0:r1 and columns c0:c1.
 
-        The run loop passes the region a step changed (StepDiagnostics.region).
-        That gives the bits of a whole-grid update: elsewhere the fields are
-        those an earlier update saw, which left max_h >= h and max_speed >=
-        speed.  ``rising`` is strict, and np.maximum resolves a +0.0/-0.0 tie
-        the same way each time, so the maps and the times stay as they are.
+        The run loop passes the whole grid at t = 0, then the region each
+        step changed (StepDiagnostics.region).  That gives the bits of a
+        whole-grid update: elsewhere the fields are those an earlier update
+        saw, which left max_h >= h and max_speed >= speed.  ``rising`` is
+        strict, and np.maximum resolves a +0.0/-0.0 tie the same way each
+        time, so the maps and the times stay as they are.
         """
-        if box is not None:
-            cells = (slice(box[0], box[1]), slice(box[2], box[3]))
-            h, hu, hv = h[cells], hu[cells], hv[cells]
-        else:
-            cells = (slice(None), slice(None))
+        cells = (slice(box[0], box[1]), slice(box[2], box[3]))
+        h, hu, hv = h[cells], hu[cells], hv[cells]
         max_h, max_speed = self.max_h[cells], self.max_speed[cells]
         u = velocity(h, hu, h_dry)
         v = velocity(h, hv, h_dry)
@@ -475,13 +473,15 @@ def _write_snapshot(outdir: Path, template: RasterGrid, state: State,
 
 
 def run(scenario: Scenario, blocks: int = 1, restart_path=None,
-        checkpoint_time: float | None = None,
-        checkpoint_path=None) -> RunResult:
+        checkpoint=None) -> RunResult:
     """Drive a scenario to total_duration; returns maxima and mass balance.
 
     Writes h/u/v snapshots at every snapshot boundary, maxima maps and a
     key = value summary at the end.  On a numerical abort the last completed
     state is written with an ``abort_`` prefix and the abort propagates.
+    ``checkpoint`` = (time, path) writes a restart file at that time, a
+    snapshot boundary or the end of spin-up; ``restart_path`` resumes from
+    one.  Each step is cut to land exactly on the next of those times.
     """
     state, spec, grid = assemble(scenario)
     params = scenario.params
@@ -491,14 +491,12 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     stamp = _stamp_format(snapshot_times)
     digest = _restart_digest(scenario, state, spec)
 
-    if checkpoint_time is not None:
-        if checkpoint_path is None:
-            raise ConfigError("checkpoint_time given without checkpoint_path")
-        if checkpoint_time not in events:
-            raise ConfigError(
-                "checkpoint_time must coincide with a snapshot boundary "
-                f"(got {checkpoint_time}, boundaries {events})"
-            )
+    checkpoint_time, checkpoint_path = checkpoint or (None, None)
+    if checkpoint is not None and checkpoint_time not in events:
+        raise ConfigError(
+            "checkpoint time must be a snapshot boundary or the end of spin-up "
+            f"(got {checkpoint_time}, event times {events})"
+        )
 
     if restart_path is not None:
         t, step, maxima, balance, fallbacks = _load_checkpoint(restart_path, state, digest)
@@ -506,7 +504,8 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     else:
         t, step, fallbacks = 0.0, 0, 0
         maxima = MaximaMaps.zeros(state.nrows, state.ncols)
-        maxima.update(state.h[INT], state.hu[INT], state.hv[INT], 0.0, params.h_dry)
+        maxima.update(state.h[INT], state.hu[INT], state.hv[INT], 0.0, params.h_dry,
+                      (0, state.nrows, 0, state.ncols))
         balance = MassBalance(initial_volume=state.total_volume())
 
     engine = BlockEngine(state, params, spec, nblocks=blocks)
@@ -516,12 +515,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
     try:
         while t < scenario.total_duration:
             target = events[bisect_right(events, t)]
-            dt = engine.compute_dt(t)
-            if t + dt >= target:
-                dt = target - t
-                t_next = target
-            else:
-                t_next = t + dt
+            dt, t_next = land(t, engine.compute_dt(t), target)
             diag = engine.step(t, dt)
             step += 1
             t = t_next
@@ -536,7 +530,7 @@ def run(scenario: Scenario, blocks: int = 1, restart_path=None,
 
             if t in snapshot_times:
                 _write_snapshot(outdir, grid, current, format(t, stamp), params)
-            if checkpoint_time is not None and t == checkpoint_time:
+            if checkpoint is not None and t == checkpoint_time:
                 _save_checkpoint(checkpoint_path, current, digest, t, step,
                                  maxima, balance, fallbacks)
                 logger.info("checkpoint written to %s at t = %.6f", checkpoint_path, t)

@@ -258,16 +258,17 @@ def compute_dt(state: State, params: PhysicalParams) -> float:
     return dt_from_wave_speed(max_wave_speed(state, params, box), state.dx, state.dy, params)
 
 
-def friction_step(h_star, q_star, h_n, q_n, dt, params: PhysicalParams, q_mag=None):
+def friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt, params: PhysicalParams):
     """Semi-implicit Manning friction applied after a hyperbolic stage.
 
         q_next = q_star / (1 + dt * n^2 * |q_n| / (h_n * h_star^(4/3)))
 
-    on cells wet before and after the stage; q_next = q_star where n = 0 or
-    the cell just wetted; q_next = 0 on dry cells.  |q_next| never exceeds
-    |q_star|.  ``q_mag`` overrides |q_n| for full velocity-magnitude coupling.
-    Given tuples of momentum components as q_star and q_n, it returns the
-    tuple of their updates and evaluates h_n * h_star^(4/3) once for all.
+    for each momentum component q, on cells wet before and after the stage;
+    q_next = q_star where n = 0 or the cell just wetted; q_next = 0 on dry
+    cells.  |q_next| never exceeds |q_star|.  |q_n| is the component's own
+    magnitude, or with params.friction_full_velocity that of the discharge
+    vector, sqrt(qx_n^2 + qy_n^2).  Returns (qx_next, qy_next), evaluating
+    h_n * h_star^(4/3) once for both.
     """
     n = params.manning_n
     h_star = np.asarray(h_star, dtype=np.float64)
@@ -277,18 +278,17 @@ def friction_step(h_star, q_star, h_n, q_n, dt, params: PhysicalParams, q_mag=No
         wet_pair = (h_n > params.h_dry) & wet_now
         # np.where evaluates both branches; keep the power off negative depths
         safe = np.where(wet_pair, h_n, 1.0) * np.where(wet_pair, h_star, 1.0) ** (4.0 / 3.0)
+        q_mag = np.sqrt(qx_n * qx_n + qy_n * qy_n) if params.friction_full_velocity else None
 
     def one(q_star, q_n):
         q_star = np.asarray(q_star, dtype=np.float64)
         if n == 0.0:
             return np.where(wet_now, q_star, 0.0)
-        mag = np.abs(q_n) if q_mag is None else np.asarray(q_mag, dtype=np.float64)
+        mag = np.abs(q_n) if q_mag is None else q_mag
         denom = np.where(wet_pair, 1.0 + (dt * n * n) * mag / safe, 1.0)
         return np.where(wet_now, q_star / denom, 0.0)
 
-    if isinstance(q_star, tuple):
-        return tuple(map(one, q_star, q_n))
-    return one(q_star, q_n)
+    return one(qx_star, qx_n), one(qy_star, qy_n)
 
 
 def _check_and_zero_dry(h, hu, hv, h_dry, context) -> float:
@@ -401,12 +401,8 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
         qx_star = qx_prev + dt * l_hu[s0:s1]
         qy_star = qy_prev + dt * l_hv[s0:s1]
 
-        q_mag = None
-        if params.friction_full_velocity:
-            q_mag = np.sqrt(qx_prev * qx_prev + qy_prev * qy_prev)
-        # One call for both components evaluates the depth factor once.
-        qx_new, qy_new = friction_step(h_new, (qx_star, qy_star), h_prev, (qx_prev, qy_prev),
-                                       dt, params, q_mag)
+        qx_new, qy_new = friction_step(h_new, qx_star, qy_star, h_prev, qx_prev, qy_prev,
+                                       dt, params)
 
         min_h = _check_and_zero_dry(h_new, qx_new, qy_new, params.h_dry,
                                     "hyperbolic stage")

@@ -18,7 +18,7 @@ import numpy as np
 from swflood import kernels, solver
 from swflood.boundary import BoundarySpec, apply_boundaries, discharge, riemann_inflow, wall
 from swflood.features import parse_features
-from swflood.partition import BlockEngine, rk2_step
+from swflood.partition import BlockEngine, land, rk2_step
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.rasterize import build_dsm
 from swflood.simulation import load_scenario, run
@@ -65,12 +65,7 @@ def advance_to(state, horizon, params=PARAMS, spec=WALLS):
     while t < horizon:
         # Fresh ghosts at t, as a production step's dt reads them.
         apply_boundaries(state, spec, t, params)
-        dt = compute_dt(state, params)
-        if t + dt >= horizon:
-            dt = horizon - t
-            t_next = horizon
-        else:
-            t_next = t + dt
+        dt, t_next = land(t, compute_dt(state, params), horizon)
         yield rk2_step(state, params, spec, t, dt)
         t = t_next
 
@@ -174,7 +169,7 @@ def test_wet_dam_break_bore_lands_within_three_cells():
     # against the jump conditions in test_analytic.
     h_m = 0.39617481679952105
     bore_speed = 3.1051336506674865
-    case = stoker_case(h_l=1.0, h_r=0.1)
+    case = stoker_case()
     state, x = strip_state(case, 400)
     for _ in advance_to(state, case.horizon):
         pass
@@ -195,14 +190,17 @@ def test_friction_matches_closed_form_on_random_inputs():
     n = 10_000
     h_star = rng.uniform(1e-6, 5.0, size=n)
     h_n = rng.uniform(1e-6, 5.0, size=n)
-    q_star = rng.uniform(-10.0, 10.0, size=n)
-    q_n = rng.uniform(-10.0, 10.0, size=n)
+    qx_star = rng.uniform(-10.0, 10.0, size=n)
+    qx_n = rng.uniform(-10.0, 10.0, size=n)
+    qy_star, qy_n = rng.uniform(-10.0, 10.0, size=(2, n))
     dt = 0.25
     manning = 0.07
-    out = friction_step(h_star, q_star, h_n, q_n, dt, PhysicalParams(manning_n=manning))
-    expected = q_star / (1.0 + dt * manning**2 * np.abs(q_n) / (h_n * h_star ** (4.0 / 3.0)))
-    assert (np.abs(out - expected) <= 1e-14 * np.abs(expected)).all()
-    assert (np.abs(out) <= np.abs(q_star)).all()
+    out = friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt,
+                        PhysicalParams(manning_n=manning))
+    for q, q_star, q_n in zip(out, (qx_star, qy_star), (qx_n, qy_n)):
+        expected = q_star / (1.0 + dt * manning**2 * np.abs(q_n) / (h_n * h_star ** (4.0 / 3.0)))
+        assert (np.abs(q - expected) <= 1e-14 * np.abs(expected)).all()
+        assert (np.abs(q) <= np.abs(q_star)).all()
 
 
 def test_velocity_traces_conserve_cell_discharge():

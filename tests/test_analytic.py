@@ -43,7 +43,7 @@ def test_parabolic_bump_profile():
 
 def test_lake_at_rest_case_submerged_and_emerged():
     x = np.linspace(0.0, 25.0, 81)
-    case = lake_at_rest_case(0.5)
+    case = lake_at_rest_case(0.5, "lake-at-rest")
     h, q = case.initial(x)
     assert (h + case.topography(x) == 0.5).all()
     np.testing.assert_array_equal(q, 0.0)
@@ -51,7 +51,7 @@ def test_lake_at_rest_case_submerged_and_emerged():
     h5, q5 = case.exact(x, 5.0)
     np.testing.assert_array_equal(h5, h)
     # emerged variant dries the bump crest
-    low = lake_at_rest_case(0.1)
+    low = lake_at_rest_case(0.1, "lake-emerged")
     h_low, _ = low.initial(x)
     assert h_low[np.abs(x - 10.0) < 1.0].max() == 0.0
     assert (h_low >= 0.0).all()

@@ -53,6 +53,10 @@ def test_parse_validate_command():
     ["validate", "--case", "ritter", "--n", "5"],
     ["build-dsm", "--dtm", "a", "--features", "f", "--classes", "c",
      "--out", "d", "--close-tolerance", "-1"],
+    ["build-dsm", "--dtm", "a", "--features", "f", "--classes", "c",
+     "--out", "d", "--close-tolerance", "nan"],
+    ["build-dsm", "--dtm", "a", "--features", "f", "--classes", "c",
+     "--out", "d", "--close-tolerance", "inf"],
 ])
 def test_parse_rejects_bad_usage(argv):
     with pytest.raises(UsageError):
@@ -208,6 +212,26 @@ def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad
     assert proc.returncode == 1
     assert f"ncols/nrows must be finite positive integers, got ncols {bad}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.asc").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("xllcorner 0", "xllcorner nan", "xll must be finite, got nan"),
+    ("xllcorner 0", "xllcorner inf", "xll must be finite, got inf"),
+    ("cellsize 1", "cellsize inf", "cellsize must be finite, got inf"),
+])
+def test_build_dsm_on_a_non_finite_dtm_georeference_exits_one(tmp_path, old, new, message):
+    argv = write_build_inputs(tmp_path)
+    # A nearly closed LINE becomes a polygon, whose fill reads the origin.
+    (tmp_path / "features.txt").write_text("10;LINE;0.5 0.5 2,3.5 0.5 2,3.5 3.5 2,0.55 0.5 2\n")
+    path = tmp_path / "dtm.asc"
+    text = path.read_text()
+    assert old + "\n" in text
+    path.write_text(text.replace(old + "\n", new + "\n"))
+    proc = run_cli_process(argv)
+    assert proc.returncode == 1
+    assert f"{path}: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "d.asc").exists()
 
 

@@ -135,6 +135,13 @@ def test_close_lines_rejects_negative_tolerance():
         close_lines([], tolerance=-0.5)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_close_lines_rejects_a_tolerance_that_is_not_finite(tolerance):
+    f = line(1, (0, 0, 0), (1, 0, 0), (1, 1, 0), (0.01, 0, 0))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        close_lines([f], tolerance=tolerance)
+
+
 def test_close_lines_passes_points_and_polygons_through():
     p = ClassifiedFeature(1, FeatureKind.POINT, np.array([[1, 2, 3.0]]))
     assert close_lines([p], tolerance=10.0) == [p]

@@ -1,6 +1,7 @@
 """Tests for the ASCII grid reader/writer and the RasterGrid container."""
 
 import io
+import math
 import warnings
 from unittest.mock import patch
 
@@ -111,6 +112,33 @@ def test_read_rejects_a_dimension_that_is_not_a_positive_integer(key, bad):
     assert text != SMALL
     with pytest.raises(RasterParseError, match=f"got {key} {bad}$"):
         read_ascii_grid(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("xll", math.nan), ("xll", math.inf), ("yll", -math.inf), ("yll", math.nan),
+    ("cellsize", math.inf),
+])
+def test_grid_rejects_a_non_finite_georeference(key, value):
+    georef = {"xll": 0.0, "yll": 0.0, "cellsize": 1.0, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+        RasterGrid(2, 2, georef["xll"], georef["yll"], georef["cellsize"])
+
+
+def test_grid_rejects_a_nan_nodata_sentinel():
+    with pytest.raises(ValueError, match="^nodata must not be NaN$"):
+        RasterGrid(2, 2, 0.0, 0.0, 1.0, math.nan, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("xllcorner 10.0", "xllcorner nan", "xll must be finite, got nan"),
+    ("xllcorner 10.0", "xllcenter inf", "xll must be finite, got inf"),
+    ("yllcorner 20.0", "yllcorner -inf", "yll must be finite, got -inf"),
+    ("cellsize 2.0", "cellsize inf", "cellsize must be finite, got inf"),
+    ("NODATA_value -9999", "NODATA_value nan", "nodata must not be NaN"),
+])
+def test_read_rejects_a_non_finite_georeference(old, new, message):
+    with pytest.raises(RasterParseError, match=f"^{message}$"):
+        read_ascii_grid(SMALL.replace(old, new))
 
 
 @pytest.mark.parametrize("nrows", ["100000000", "10000000000000"])

@@ -84,8 +84,7 @@ def ref_stage(state, params, dt):
     h_new = h + dt * l_h
     qx_star = hu + dt * l_hu
     qy_star = hv + dt * l_hv
-    q_mag = np.sqrt(hu * hu + hv * hv) if params.friction_full_velocity else None
-    qx_new, qy_new = friction_step(h_new, (qx_star, qy_star), h, (hu, hv), dt, params, q_mag)
+    qx_new, qy_new = friction_step(h_new, qx_star, qy_star, h, hu, hv, dt, params)
     if not (np.isfinite(h_new).all() and np.isfinite(qx_new).all()
             and np.isfinite(qy_new).all()):
         raise NumericalAbort("non-finite field values after hyperbolic stage")
@@ -293,7 +292,8 @@ def record(state, diag, maxima):
 
 def initial_maxima(state, h_dry):
     maxima = MaximaMaps.zeros(state.nrows, state.ncols)
-    maxima.update(state.h[INT], state.hu[INT], state.hv[INT], 0.0, h_dry)
+    maxima.update(state.h[INT], state.hu[INT], state.hv[INT], 0.0, h_dry,
+                  (0, state.nrows, 0, state.ncols))
     return maxima
 
 

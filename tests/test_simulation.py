@@ -236,6 +236,17 @@ def test_load_scenario_rejects_an_inflow_file_without_a_discharge_edge(tmp_path,
         load_scenario(path)
 
 
+@pytest.mark.parametrize("key", ["spinup_q", "spinup_duration"])
+def test_load_scenario_rejects_a_spinup_key_without_a_discharge_edge(tmp_path, key):
+    path = write_config(tmp_path, BASE_CONFIG + f"{key} = 0.5\n")
+    with pytest.raises(ConfigError, match=f"key '{key}' needs an edge set to 'discharge'"):
+        load_scenario(path)
+    # The value checks come first.
+    path = write_config(tmp_path, BASE_CONFIG + f"{key} = -1\n")
+    with pytest.raises(ConfigError, match=f"{key} must"):
+        load_scenario(path)
+
+
 def test_load_scenario_rejects_an_empty_riverbed_mask(tmp_path):
     cfg = make_scenario_files(tmp_path)
     mask = tmp_path / "riverbed.txt"
@@ -266,8 +277,9 @@ def test_load_scenario_parses_booleans(tmp_path):
 def test_maxima_maps_track_peak_and_its_time():
     mm = MaximaMaps.zeros(1, 2)
     h = np.array([[1.0, 0.2]])
-    mm.update(h, np.array([[3.0, 0.0]]), np.array([[4.0, 0.0]]), 1.0, 1e-10)
-    mm.update(np.array([[0.5, 0.8]]), np.zeros((1, 2)), np.zeros((1, 2)), 2.0, 1e-10)
+    whole = (0, 1, 0, 2)
+    mm.update(h, np.array([[3.0, 0.0]]), np.array([[4.0, 0.0]]), 1.0, 1e-10, whole)
+    mm.update(np.array([[0.5, 0.8]]), np.zeros((1, 2)), np.zeros((1, 2)), 2.0, 1e-10, whole)
     np.testing.assert_array_equal(mm.max_h, [[1.0, 0.8]])
     np.testing.assert_array_equal(mm.time_of_max_h, [[1.0, 2.0]])
     # speed = hypot(u, v) = hypot(3, 4) = 5 at the first sample
@@ -305,7 +317,7 @@ def test_checkpoint_round_trip(tmp_path):
     st = small_state()
     params = PhysicalParams(manning_n=0.02)
     maxima = MaximaMaps.zeros(5, 6)
-    maxima.update(st.h[INT], st.hu[INT], st.hv[INT], 3.5, params.h_dry)
+    maxima.update(st.h[INT], st.hu[INT], st.hv[INT], 3.5, params.h_dry, (0, 5, 0, 6))
     balance = MassBalance(initial_volume=12.5, inflow=3.0, outflow=1.0)
     path = tmp_path / "run.chk"
     _save_checkpoint(path, st, DIGEST, 3.5, 17, maxima, balance, 4)
@@ -518,7 +530,7 @@ def test_run_restart_matches_uninterrupted(tmp_path):
 
     cp = tmp_path / "mid.chk"
     sc_b = load_scenario(make_scenario_files(tmp_path, outdir="out_b"))
-    run(sc_b, checkpoint_time=2.0, checkpoint_path=cp)
+    run(sc_b, checkpoint=(2.0, cp))
     sc_c = load_scenario(make_scenario_files(tmp_path, outdir="out_c"))
     res_c = run(sc_c, restart_path=cp)
 
@@ -544,7 +556,7 @@ def test_run_restart_matches_uninterrupted(tmp_path):
 def test_run_restart_refuses_a_changed_scenario(tmp_path, name, old, new):
     cp = tmp_path / "mid.chk"
     cfg = make_scenario_files(tmp_path, outdir="out_b")
-    run(load_scenario(cfg), checkpoint_time=2.0, checkpoint_path=cp)
+    run(load_scenario(cfg), checkpoint=(2.0, cp))
     edited = tmp_path / name
     assert old in edited.read_text()
     edited.write_text(edited.read_text().replace(old, new))
@@ -559,7 +571,7 @@ def test_run_reads_no_inflow_file_after_the_scenario_loads(tmp_path):
     (tmp_path / "hydro.txt").unlink()
     (tmp_path / "riverbed.txt").unlink()
     cp = tmp_path / "mid.chk"
-    res_gone = run(sc, checkpoint_time=2.0, checkpoint_path=cp)
+    res_gone = run(sc, checkpoint=(2.0, cp))
     for field in ("h", "hu", "hv"):
         np.testing.assert_array_equal(getattr(res_gone.state, field),
                                       getattr(res_kept.state, field))
@@ -593,10 +605,9 @@ def test_run_blocked_matches_serial(tmp_path):
 
 def test_run_checkpoint_argument_validation(tmp_path):
     sc = load_scenario(make_scenario_files(tmp_path))
-    with pytest.raises(ConfigError, match="checkpoint_path"):
-        run(sc, checkpoint_time=2.0)
     with pytest.raises(ConfigError, match="snapshot boundary"):
-        run(sc, checkpoint_time=1.7, checkpoint_path=tmp_path / "x.chk")
+        run(sc, checkpoint=(1.7, tmp_path / "x.chk"))
+    assert not (tmp_path / "x.chk").exists()
 
 
 def test_run_abort_writes_last_good_state(tmp_path):

@@ -151,24 +151,25 @@ def test_wave_speed_sees_ghost_strips():
 
 def test_friction_identity_when_n_zero():
     params = PhysicalParams(manning_n=0.0)
-    assert friction_step(1.0, 3.0, 1.0, 2.0, 0.1, params) == 3.0
+    assert friction_step(1.0, 3.0, -3.0, 1.0, 2.0, 1.0, 0.1, params) == (3.0, -3.0)
 
 
 def test_friction_identity_when_previous_discharge_zero():
     params = PhysicalParams(manning_n=0.05)
-    assert friction_step(1.0, 3.0, 1.0, 0.0, 0.1, params) == 3.0
+    assert friction_step(1.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.1, params) == (3.0, 2.0)
 
 
 def test_friction_hand_value():
     # n=0.1, dt=1, h_n=h*=1, q_n=1: denom = 1 + 0.01 -> q = 1/1.01.
     params = PhysicalParams(manning_n=0.1)
-    out = friction_step(1.0, 1.0, 1.0, 1.0, 1.0, params)
-    assert out == pytest.approx(0.9900990099009901, rel=1e-15)
+    qx, qy = friction_step(1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, params)
+    assert qx == pytest.approx(0.9900990099009901, rel=1e-15)
+    assert qy == pytest.approx(0.9900990099009901, rel=1e-15)
 
 
 def test_friction_zero_on_dry_cells():
     params = PhysicalParams(manning_n=0.1)
-    assert friction_step(0.0, 3.0, 1.0, 1.0, 0.1, params) == 0.0
+    assert friction_step(0.0, 3.0, 3.0, 1.0, 1.0, 1.0, 0.1, params) == (0.0, 0.0)
 
 
 def test_friction_never_amplifies():
@@ -176,35 +177,23 @@ def test_friction_never_amplifies():
     n = 2000
     h_star = rng.uniform(1e-8, 4.0, size=n)
     h_n = rng.uniform(1e-8, 4.0, size=n)
-    q_star = rng.uniform(-10, 10, size=n)
-    q_n = rng.uniform(-10, 10, size=n)
-    params = PhysicalParams(manning_n=0.3)
-    out = friction_step(h_star, q_star, h_n, q_n, 0.5, params)
-    assert (np.abs(out) <= np.abs(q_star) + 1e-300).all()
-    assert (np.sign(out) == np.sign(q_star))[np.abs(out) > 0].all()
-
-
-@pytest.mark.parametrize("manning", [0.0, 0.3])
-@pytest.mark.parametrize("full_velocity", [False, True])
-def test_friction_on_both_components_matches_one_call_each(manning, full_velocity):
-    rng = np.random.default_rng(32)
-    h_star, h_n = rng.uniform(-1e-3, 2.0, size=(2, 50, 7))
-    qx_star, qy_star, qx_n, qy_n = rng.uniform(-3.0, 3.0, size=(4, 50, 7))
-    q_mag = np.hypot(qx_n, qy_n) if full_velocity else None
-    params = PhysicalParams(manning_n=manning)
-    both = friction_step(h_star, (qx_star, qy_star), h_n, (qx_n, qy_n), 0.5, params, q_mag)
-    assert isinstance(both, tuple) and len(both) == 2
-    for new, q_star, q_n in zip(both, (qx_star, qy_star), (qx_n, qy_n)):
-        one = friction_step(h_star, q_star, h_n, q_n, 0.5, params, q_mag)
-        assert new.tobytes() == one.tobytes()
+    qx_star = rng.uniform(-10, 10, size=n)
+    qx_n = rng.uniform(-10, 10, size=n)
+    qy_star, qy_n = rng.uniform(-10, 10, size=(2, n))
+    for full_velocity in (False, True):
+        params = PhysicalParams(manning_n=0.3, friction_full_velocity=full_velocity)
+        out = friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, 0.5, params)
+        for q, q_star in zip(out, (qx_star, qy_star)):
+            assert (np.abs(q) <= np.abs(q_star) + 1e-300).all()
+            assert (np.sign(q) == np.sign(q_star))[np.abs(q) > 0].all()
 
 
 def test_friction_full_velocity_magnitude_coupling():
     # With |q| coupling the denominator uses hypot(qx, qy), not |qx|.
-    params = PhysicalParams(manning_n=0.1)
-    q_mag = np.hypot(3.0, 4.0)
-    out = friction_step(1.0, 1.0, 1.0, 3.0, 1.0, params, q_mag=q_mag)
-    assert out == pytest.approx(1.0 / (1.0 + 0.01 * 5.0), rel=1e-15)
+    params = PhysicalParams(manning_n=0.1, friction_full_velocity=True)
+    qx, qy = friction_step(1.0, 1.0, 1.0, 1.0, 3.0, 4.0, 1.0, params)
+    assert qx == pytest.approx(1.0 / (1.0 + 0.01 * 5.0), rel=1e-15)
+    assert qy == qx
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_case_registry():
 
 
 def test_ritter_case_horizon_keeps_front_inside():
-    case = ritter_case(h_l=1.0, length=10.0)
+    case = ritter_case()
     # front speed 2 sqrt(g h_l); after the horizon it has covered 3/4 of
     # the downstream half, staying clear of the wall
     front = 5.0 + 2.0 * math.sqrt(9.81) * case.horizon
@@ -45,14 +45,14 @@ def test_ritter_case_horizon_keeps_front_inside():
 
 
 def test_stoker_case_initial_states():
-    case = stoker_case(h_l=1.0, h_r=0.1, length=10.0)
+    case = stoker_case()
     h, _ = case.initial(np.array([0.5, 9.5]))
     np.testing.assert_array_equal(h, [1.0, 0.1])
     assert case.horizon == 1.2
 
 
 def test_strip_state_geometry():
-    case = ritter_case(length=10.0)
+    case = ritter_case()
     state, x = strip_state(case, 40)
     assert (state.nrows, state.ncols) == (3, 40)
     assert state.dx == 0.25
@@ -130,3 +130,33 @@ def test_report_csv_format():
 def test_report_rejects_tiny_grids():
     with pytest.raises(ValueError, match="n >= 10"):
         report("ritter", 8)
+
+
+# The CSV text of report(case, 100) for each case, byte for byte.
+REPORTS_AT_100 = {
+    "lake-at-rest": (
+        "case,n,dx,L1,L2,Linf,order\n"
+        "lake-at-rest,50,0.5,5.551115123e-17,5.551115123e-17,5.551115123e-17,\n"
+        "lake-at-rest,100,0.25,8.326672685e-17,6.798699778e-17,5.551115123e-17,nan\n"
+    ),
+    "lake-emerged": (
+        "case,n,dx,L1,L2,Linf,order\n"
+        "lake-emerged,50,0.5,0,0,0,\n"
+        "lake-emerged,100,0.25,0,0,0,nan\n"
+    ),
+    "ritter": (
+        "case,n,dx,L1,L2,Linf,order\n"
+        "ritter,50,0.2,0.09367612838,0.04521936047,0.05517679723,\n"
+        "ritter,100,0.1,0.04907786236,0.02532575598,0.03724679721,0.932609\n"
+    ),
+    "stoker": (
+        "case,n,dx,L1,L2,Linf,order\n"
+        "stoker,50,0.2,0.1089934197,0.06667397752,0.11770086,\n"
+        "stoker,100,0.1,0.05578093787,0.04762130203,0.1244708918,0.966397\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS_AT_100))
+def test_report_csv_is_pinned(name):
+    assert report(name, 100)[1] == REPORTS_AT_100[name]
