@@ -131,6 +131,10 @@ def read_ascii_grid(source) -> RasterGrid:
     cellsize = header["cellsize"]
     if not cellsize > 0:
         raise RasterParseError(f"cellsize must be positive, got {cellsize}")
+    # Named by the key the file gave, before a center shifts to a corner.
+    for key in ("xllcorner", "xllcenter", "yllcorner", "yllcenter", "cellsize"):
+        if key in header and not math.isfinite(header[key]):
+            raise RasterParseError(f"{key} must be finite, got {header[key]}")
 
     # Center-registered origins shift by half a cell to the corner convention.
     if "xllcenter" in header:

@@ -69,6 +69,9 @@ class State:
                  z: np.ndarray, xll: float = 0.0, yll: float = 0.0):
         if nrows < 1 or ncols < 1:
             raise ValueError(f"grid must be at least 1x1, got {nrows}x{ncols}")
+        for name, value in (("dx", dx), ("dy", dy), ("xll", xll), ("yll", yll)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not (dx > 0 and dy > 0):
             raise ValueError(f"cell sizes must be positive, got dx={dx}, dy={dy}")
         z = np.asarray(z, dtype=np.float64)

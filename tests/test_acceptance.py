@@ -8,6 +8,7 @@ flood study from config file to maximal-depth map.  The tolerances are
 part of the contract: loosening one is an interface break, not a test fix.
 """
 
+import hashlib
 import io
 import math
 import time
@@ -16,13 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from swflood import kernels, solver
-from swflood.boundary import BoundarySpec, apply_boundaries, discharge, riemann_inflow, wall
+from swflood.boundary import BoundarySpec, discharge, riemann_inflow, wall
 from swflood.features import parse_features
-from swflood.partition import BlockEngine, land, rk2_step
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.rasterize import build_dsm
 from swflood.simulation import load_scenario, run
-from swflood.solver import compute_dt, friction_step
+from swflood.solver import friction_step
 from swflood.state import INT, PhysicalParams, State, velocity
 from swflood.validate import (
     build_case,
@@ -31,43 +31,21 @@ from swflood.validate import (
     stoker_case,
     strip_state,
 )
+from scenes import (
+    BENCHES,
+    bump_lake,
+    march,
+    march_to,
+    valley_z,
+    wet_dam,
+    write_valley_scenario,
+)
 
 G = 9.81
 PARAMS = PhysicalParams()
 WALLS = BoundarySpec.walls()
 
 GOLDEN_DSM = Path(__file__).parent / "data" / "golden_dsm_20x20.asc"
-
-
-def bump_lake(n, bump, surface=0.5, extent=25.0):
-    """Still lake over a parabolic bump; bump > surface leaves an island."""
-    x = (np.arange(n) + 0.5) * (extent / n)
-    zx = np.maximum(0.0, bump - 0.05 * (x - 10.0) ** 2)
-    z = np.tile(zx, (n, 1))
-    st = State(n, n, extent / n, extent / n, z)
-    st.h[INT] = np.maximum(0.0, surface - z)
-    return st
-
-
-def advance(state, spec, steps, params=PARAMS):
-    t = 0.0
-    diags = []
-    for _ in range(steps):
-        d = rk2_step(state, params, spec, t)
-        t += d.dt
-        diags.append(d)
-    return diags
-
-
-def advance_to(state, horizon, params=PARAMS, spec=WALLS):
-    """Step exactly to the horizon, clipping the final dt; yields diagnostics."""
-    t = 0.0
-    while t < horizon:
-        # Fresh ghosts at t, as a production step's dt reads them.
-        apply_boundaries(state, spec, t, params)
-        dt, t_next = land(t, compute_dt(state, params), horizon)
-        yield rk2_step(state, params, spec, t, dt)
-        t = t_next
 
 
 # --------------------------------------------------------------------------
@@ -78,7 +56,7 @@ def advance_to(state, horizon, params=PARAMS, spec=WALLS):
 def test_lake_at_rest_over_submerged_bump_holds_for_thousand_steps():
     st = bump_lake(100, bump=0.2)
     started = time.perf_counter()
-    advance(st, WALLS, 1000)
+    march(st, PARAMS, WALLS, 1000)
     elapsed = time.perf_counter() - started
     w = st.h[INT] + st.z[INT]
     assert np.abs(w - 0.5).max() <= 1e-12
@@ -96,7 +74,7 @@ def test_lake_at_rest_around_island_keeps_dry_land_dry():
     island = st.h[INT] == 0.0
     assert island.sum() > 0
     started = time.perf_counter()
-    advance(st, WALLS, 1000)
+    march(st, PARAMS, WALLS, 1000)
     elapsed = time.perf_counter() - started
     wet = ~island
     w = st.h[INT] + st.z[INT]
@@ -120,7 +98,7 @@ def test_dam_break_front_onto_dry_bed_never_goes_negative():
     # crossing three quarters of the flume within the run.
     case = build_case("ritter")
     state, x = strip_state(case, 400)
-    for diag in advance_to(state, case.horizon):
+    for diag in march_to(state, case.horizon):
         assert diag.min_h >= 0.0
     h = state.h[INT][1]
     assert np.isfinite(state.h[INT]).all()
@@ -142,7 +120,7 @@ def test_closed_basin_volume_drift_stays_at_roundoff():
     st = State(n, n, 1.0, 1.0, rng.uniform(0.0, 0.2, size=(n, n)))
     st.h[INT] = rng.uniform(0.2, 1.2, size=(n, n))
     v0 = st.total_volume()
-    advance(st, WALLS, 1000, PhysicalParams(manning_n=0.05))
+    march(st, PhysicalParams(manning_n=0.05), WALLS, 1000)
     assert abs(st.total_volume() - v0) <= 1e-10 * v0
 
 
@@ -171,7 +149,7 @@ def test_wet_dam_break_bore_lands_within_three_cells():
     bore_speed = 3.1051336506674865
     case = stoker_case()
     state, x = strip_state(case, 400)
-    for _ in advance_to(state, case.horizon):
+    for _ in march_to(state, case.horizon):
         pass
     h = state.h[INT][1]
     # the bore footprint is the rightmost cell still above the mid-jump depth
@@ -226,21 +204,9 @@ def test_velocity_traces_conserve_cell_discharge():
 # --------------------------------------------------------------------------
 
 
-def wet_dam(n=200):
-    st = State(n, n, 0.5, 0.5, np.zeros((n, n)))
-    st.h[INT][:, : n // 2] = 1.0
-    st.h[INT][:, n // 2 :] = 0.1
-    return st
-
-
 def assert_threads_reproduce(ref):
     for nblocks in (1, 2, 4, 9):
-        st = wet_dam()
-        t = 0.0
-        with BlockEngine(st, PARAMS, WALLS, nblocks=nblocks) as eng:
-            for _ in range(9):
-                t += eng.step(t).dt
-            out = eng.gather()
+        out, _ = march(wet_dam(), PARAMS, WALLS, 9, nblocks)
         np.testing.assert_array_equal(out.h[INT], ref.h[INT])
         np.testing.assert_array_equal(out.hu[INT], ref.hu[INT])
         np.testing.assert_array_equal(out.hv[INT], ref.hv[INT])
@@ -249,14 +215,14 @@ def assert_threads_reproduce(ref):
 def test_any_block_tiling_reproduces_the_serial_fields_bitwise():
     # --blocks N sets the worker threads over the row strips of one state.
     ref = wet_dam()
-    advance(ref, WALLS, 9)
+    march(ref, PARAMS, WALLS, 9)
     assert_threads_reproduce(ref)
 
 
 def test_any_thread_count_reproduces_the_serial_fields_on_small_strips(monkeypatch):
     # Twenty-five strips of 8 rows per stage against a serial run in 3 strips.
     ref = wet_dam()
-    advance(ref, WALLS, 9)
+    march(ref, PARAMS, WALLS, 9)
     monkeypatch.setattr(solver, "_STRIP_CELLS", 8 * 204)
     assert len(solver._strips(200, 204)) == 25
     assert_threads_reproduce(ref)
@@ -288,7 +254,7 @@ def test_zero_discharge_inflow_edge_leaves_a_lake_at_rest():
     # An idle river mouth must behave like any other closed edge.
     st = bump_lake(60, bump=0.2)
     spec = BoundarySpec(wall(), wall(), discharge(lambda t: 0.0, list(range(20, 40))), wall())
-    diags = advance(st, spec, 300)
+    _, diags = march(st, PARAMS, spec, 300)
     assert all(d.inflow_volume == 0.0 for d in diags)
     w = st.h[INT] + st.z[INT]
     assert np.abs(w - 0.5).max() <= 1e-12
@@ -351,47 +317,6 @@ def test_extrusion_never_lowers_terrain_and_ignores_feature_order():
 # Miniature flood study, config file to maximal-depth map
 # --------------------------------------------------------------------------
 
-BENCHES = ((58, 70, 40, 72), (81, 93, 110, 142))
-
-
-def valley_z(nrows=150, ncols=200):
-    """Sloping valley with a channel notch and two walled benches."""
-    rows = np.arange(nrows)[:, None]
-    cols = np.arange(ncols)[None, :]
-    z = 0.01 * (ncols - 1 - cols) + 0.005 * np.abs(rows - 75)
-    z = np.broadcast_to(z, (nrows, ncols)).copy()
-    z[72:79, :] -= 0.3
-    for r0, r1, c0, c1 in BENCHES:
-        ring = np.zeros((nrows, ncols), dtype=bool)
-        ring[r0:r1, c0:c1] = True
-        ring[r0 + 1 : r1 - 1, c0 + 1 : c1 - 1] = False
-        z[ring] += 4.0
-    return z
-
-
-def write_valley_scenario(d, peak):
-    grid = RasterGrid(200, 150, 0.0, 0.0, 2.0, values=valley_z())
-    (d / "valley.asc").write_text(write_ascii_grid(grid))
-    (d / "riverbed.txt").write_text("".join(f"{r} 0\n" for r in range(72, 79)))
-    (d / "hydro.txt").write_text(f"0 5\n60 {peak}\n120 5\n")
-    cfg = d / f"scenario_{peak}.cfg"
-    cfg.write_text(
-        f"""\
-dsm = valley.asc
-output_dir = out_{peak}
-total_duration = 240
-snapshot_interval = 120
-spinup_duration = 60
-spinup_q = 5
-manning_n = 0.03
-boundary.west = discharge
-boundary.east = free_outflow
-riverbed_mask = riverbed.txt
-hydrograph = hydro.txt
-"""
-    )
-    return cfg
-
 
 def test_valley_flood_closes_mass_and_deepens_with_the_peak(tmp_path):
     # A spin-up river plus a triangular flood wave down a walled valley:
@@ -411,3 +336,10 @@ def test_valley_flood_closes_mass_and_deepens_with_the_peak(tmp_path):
     assert full.maxima.max_h[BENCHES[0][1], BENCHES[0][2] : BENCHES[0][3]].max() > 0.0
     assert full.maxima.max_h[BENCHES[1][0] - 1, BENCHES[1][2] : BENCHES[1][3]].max() > 0.0
     assert elapsed <= 300.0
+
+
+def test_the_seeded_valley_is_the_bench_valley():
+    # The bytes bench/workloads.py writes for the valley_flood workload at seed 131.
+    grid = RasterGrid(200, 150, 0.0, 0.0, 2.0, values=valley_z(np.random.default_rng(131)))
+    assert hashlib.sha256(write_ascii_grid(grid).encode()).hexdigest() == (
+        "3b92e094677463c17ae867f6d32d76619b7bb79bd1e74de63eb36e7aec94c963")

@@ -14,11 +14,17 @@ import pytest
 
 from swflood import solver
 from swflood.boundary import BoundarySpec, apply_boundaries, discharge, free_outflow, wall
-from swflood.partition import BlockEngine, rk2_step
 from swflood.solver import euler_friction_stage
 from swflood.state import GHOSTS, INT, PhysicalParams, State
+from scenes import field_digest, march
 
 PARAMS = PhysicalParams(manning_n=0.03)
+
+
+def run(build, nblocks=0):
+    """The field digest of a built case, stepped serially or on ``nblocks`` threads."""
+    state, spec, steps = build()
+    return field_digest(*march(state, PARAMS, spec, steps, nblocks))
 
 
 def seam_patch():
@@ -65,7 +71,7 @@ CASES = {  # digest after the listed steps, recorded before the skip existed
 }
 
 
-# Whole padded h, hu and hv, ghosts included, after step_serial; recorded
+# Whole padded h, hu and hv, ghosts included, after the serial steps; recorded
 # while rk2_step still carried its own copy of the step sequence.  The next
 # compute_dt of a serial caller reads these ghosts.
 PADDED = {
@@ -76,40 +82,11 @@ PADDED = {
 }
 
 
-def digest(state, t, inflow, outflow):
-    hasher = hashlib.sha256()
-    for arr in (state.h[INT], state.hu[INT], state.hv[INT]):
-        hasher.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    hasher.update(np.array([t, inflow, outflow], dtype="<f8").tobytes())
-    return hasher.hexdigest()
-
-
-def step_blocks(state, spec, steps, nblocks):
-    t = inflow = outflow = 0.0
-    with BlockEngine(state, PARAMS, spec, nblocks=nblocks) as eng:
-        for _ in range(steps):
-            d = eng.step(t)
-            t += d.dt
-            inflow += d.inflow_volume
-            outflow += d.outflow_volume
-        return eng.gather(), t, inflow, outflow
-
-
-def step_serial(state, spec, steps):
-    t = inflow = outflow = 0.0
-    for _ in range(steps):
-        d = rk2_step(state, PARAMS, spec, t)
-        t += d.dt
-        inflow += d.inflow_volume
-        outflow += d.outflow_volume
-    return state, t, inflow, outflow
-
-
 @pytest.mark.parametrize("nblocks", [1, 2, 4, 9])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_active_box_stepping_reproduces_the_full_grid_digest(case, nblocks):
     build, expected = CASES[case]
-    assert digest(*step_blocks(*build(), nblocks)) == expected
+    assert run(build, nblocks) == expected
 
 
 @pytest.mark.parametrize("nthreads", [1, 2, 4, 9])
@@ -119,20 +96,20 @@ def test_one_row_strips_reproduce_the_full_grid_digest(case, nthreads, monkeypat
     # strips than threads.
     monkeypatch.setattr(solver, "_STRIP_CELLS", 1)
     build, expected = CASES[case]
-    assert digest(*step_blocks(*build(), nthreads)) == expected
+    assert run(build, nthreads) == expected
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_serial_step_reproduces_the_full_grid_digest(case):
     build, expected = CASES[case]
-    assert digest(*step_serial(*build())) == expected
+    assert run(build) == expected
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_serial_step_leaves_the_recorded_ghosts(case):
     build, _ = CASES[case]
     state, spec, steps = build()
-    step_serial(state, spec, steps)
+    march(state, PARAMS, spec, steps)
     hasher = hashlib.sha256()
     for arr in (state.h, state.hu, state.hv):
         hasher.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())

@@ -13,6 +13,7 @@ from swflood.cli import UsageError, _resolve_blocks, main, parse_args
 from swflood.raster import RasterGrid, load_raster, write_ascii_grid
 from swflood.simulation import ConfigError
 from full_disk import half_writing_open
+from scenes import read_summary, write_channel_scenario
 
 
 # --------------------------------------------------------------------------
@@ -98,61 +99,34 @@ def test_resolve_blocks_precedence(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def write_scenario(tmp_path, extra=""):
-    col = np.arange(10, dtype=np.float64)
-    z = np.tile(0.02 * (9.0 - col), (8, 1))
-    grid = RasterGrid(10, 8, 0.0, 0.0, 1.0, values=z)
-    (tmp_path / "terrain.asc").write_text(write_ascii_grid(grid))
-    (tmp_path / "riverbed.txt").write_text("3 0\n4 0\n")
-    (tmp_path / "hydro.txt").write_text("0 1.0\n5 2.0\n")
-    cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(f"""\
-dsm = terrain.asc
-output_dir = out
-total_duration = 4
-snapshot_interval = 2
-spinup_duration = 1
-spinup_q = 0.5
-boundary.west = discharge
-boundary.east = free_outflow
-riverbed_mask = riverbed.txt
-hydrograph = hydro.txt
-{extra}""")
-    return cfg
-
-
-def summary_value(tmp_path, key):
-    text = (tmp_path / "out" / "summary.txt").read_text()
-    return dict(line.split(" = ", 1) for line in text.strip().splitlines())[key]
-
-
 def test_run_workflow_exit_zero(tmp_path, monkeypatch):
     monkeypatch.setenv("SWFLOOD_BLOCKS", "2")
-    cfg = write_scenario(tmp_path)
+    cfg = write_channel_scenario(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "out" / "h_000004.asc").exists()
-    assert summary_value(tmp_path, "status") == "completed"
-    assert summary_value(tmp_path, "blocks") == "2"
+    summary = read_summary(tmp_path / "out")
+    assert summary["status"] == "completed"
+    assert summary["blocks"] == "2"
 
 
 def test_run_workflow_flag_overrides_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SWFLOOD_BLOCKS", "2")
-    cfg = write_scenario(tmp_path)
+    cfg = write_channel_scenario(tmp_path)
     assert main(["run", "--config", str(cfg), "--blocks", "1"]) == 0
-    assert summary_value(tmp_path, "blocks") == "1"
+    assert read_summary(tmp_path / "out")["blocks"] == "1"
 
 
 def test_run_missing_dsm_exits_one(tmp_path):
-    cfg = write_scenario(tmp_path)
+    cfg = write_channel_scenario(tmp_path)
     (tmp_path / "terrain.asc").unlink()
     assert main(["run", "--config", str(cfg)]) == 1
 
 
 def test_run_numerical_abort_exits_two(tmp_path):
     # dt_min above the CFL step aborts the first step
-    cfg = write_scenario(tmp_path, extra="initial_h = 1\ndt_min = 1\ndt_max = 10\n")
+    cfg = write_channel_scenario(tmp_path, extra="initial_h = 1\ndt_min = 1\ndt_max = 10\n")
     assert main(["run", "--config", str(cfg)]) == 2
-    assert summary_value(tmp_path, "status") == "aborted"
+    assert read_summary(tmp_path / "out")["status"] == "aborted"
 
 
 def test_build_dsm_workflow_round_trip(tmp_path):
@@ -216,8 +190,8 @@ def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("xllcorner 0", "xllcorner nan", "xll must be finite, got nan"),
-    ("xllcorner 0", "xllcorner inf", "xll must be finite, got inf"),
+    ("xllcorner 0", "xllcorner nan", "xllcorner must be finite, got nan"),
+    ("xllcorner 0", "xllcorner inf", "xllcorner must be finite, got inf"),
     ("cellsize 1", "cellsize inf", "cellsize must be finite, got inf"),
 ])
 def test_build_dsm_on_a_non_finite_dtm_georeference_exits_one(tmp_path, old, new, message):
@@ -242,7 +216,7 @@ def test_build_dsm_on_a_non_finite_dtm_georeference_exits_one(tmp_path, old, new
 ], ids=["config", "hydrograph"])
 def test_run_on_a_non_finite_number_exits_one_without_traceback(tmp_path, file, old,
                                                                  new, message):
-    cfg = write_scenario(tmp_path)
+    cfg = write_channel_scenario(tmp_path)
     path = tmp_path / file
     path.write_text(path.read_text().replace(old, new))
     proc = run_cli_process(["run", "--config", str(cfg)])
@@ -289,7 +263,7 @@ def write_build_inputs(tmp_path):
 ], ids=["config", "riverbed-mask", "hydrograph", "empty-riverbed-mask"])
 def test_run_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, old, new,
                                                               message):
-    cfg = write_scenario(tmp_path)
+    cfg = write_channel_scenario(tmp_path)
     path = tmp_path / file
     path.write_text(path.read_text().replace(old, new))
     proc = run_cli_process(["run", "--config", str(cfg)])
@@ -306,7 +280,7 @@ def test_run_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, ol
 def test_an_input_that_is_not_utf8_exits_one_naming_its_file_and_line(tmp_path, command,
                                                                       file, old, new):
     argv = write_build_inputs(tmp_path) if command == "build-dsm" else [
-        "run", "--config", str(write_scenario(tmp_path))]
+        "run", "--config", str(write_channel_scenario(tmp_path))]
     path = tmp_path / file
     path.write_bytes(path.read_bytes().replace(old, new))
     proc = run_cli_process(argv)

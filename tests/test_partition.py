@@ -11,6 +11,7 @@ from swflood import partition, solver
 from swflood.boundary import BoundarySpec, discharge, free_outflow, wall
 from swflood.partition import BlockEngine, rk2_step
 from swflood.state import INT, PhysicalParams, State
+from scenes import march
 
 PARAMS = PhysicalParams()
 
@@ -38,30 +39,11 @@ def test_partition_errors(nrows, ncols, nblocks, fragment):
 # --------------------------------------------------------------------------
 
 
-def run_serial(st, spec, steps):
-    t = 0.0
-    diags = []
-    for _ in range(steps):
-        d = rk2_step(st, PARAMS, spec, t)
-        t += d.dt
-        diags.append(d)
-    return st, diags
-
-
-def run_engine(st, spec, steps, nblocks):
-    t = 0.0
-    diags = []
-    with BlockEngine(st, PARAMS, spec, nblocks=nblocks) as eng:
-        for _ in range(steps):
-            d = eng.step(t)
-            t += d.dt
-            diags.append(d)
-        return eng.gather(), diags
-
-
-def mixed_spec():
-    return BoundarySpec(wall(), wall(), free_outflow(),
+def mixed_run(nblocks=0, steps=6):
+    """A wet 9x7 state under mixed boundaries, stepped by ``march``."""
+    spec = BoundarySpec(wall(), wall(), free_outflow(),
                         discharge(lambda t: 0.4 + 0.1 * t, [2, 3, 4]))
+    return march(random_wet_state(9, 7, seed=24), PARAMS, spec, steps, nblocks)
 
 
 def assert_same_run(engine_run, serial_run):
@@ -83,34 +65,32 @@ def assert_same_run(engine_run, serial_run):
 def test_engine_matches_serial_bitwise(nblocks):
     # Mixed boundaries; fields and per-step diagnostics must be identical to
     # the serial solver for any thread count.
-    serial = run_serial(random_wet_state(9, 7, seed=24), mixed_spec(), 6)
-    assert_same_run(run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 6, nblocks),
-                    serial)
+    serial = mixed_run()
+    assert_same_run(mixed_run(nblocks), serial)
 
 
 @pytest.mark.parametrize("nthreads", [1, 2, 4, 9])
 def test_engine_matches_serial_bitwise_on_one_row_strips(nthreads, monkeypatch):
     # Nine one-row strips per stage, more than the threads at every count,
     # against a serial run that evaluates each stage in one strip.
-    serial = run_serial(random_wet_state(9, 7, seed=24), mixed_spec(), 6)
+    serial = mixed_run()
     monkeypatch.setattr(solver, "_STRIP_CELLS", 1)
     assert solver._strips(9, 11) == [(r, r + 1) for r in range(9)]
-    assert_same_run(run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 6, nthreads),
-                    serial)
+    assert_same_run(mixed_run(nthreads), serial)
 
 
 def test_more_threads_than_cores_with_fast_switching_keep_the_bits(monkeypatch):
     # Eight workers on one-row strips, handing the interpreter lock over every
     # microsecond: a strip that read a row another strip had already updated,
     # or a result reduced out of order, changes the fields.
-    serial = run_serial(random_wet_state(9, 7, seed=24), mixed_spec(), 6)
+    serial = mixed_run()
     monkeypatch.setattr(solver, "_STRIP_CELLS", 1)
     monkeypatch.setattr(partition.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         started = time.perf_counter()
-        engine_run = run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 6, 8)
+        engine_run = mixed_run(8)
     finally:
         sys.setswitchinterval(interval)
     assert time.perf_counter() - started < 60.0
@@ -173,12 +153,12 @@ def test_one_strip_phases_run_on_the_calling_thread(monkeypatch):
             pass
 
     monkeypatch.setattr(partition, "ThreadPoolExecutor", StubPool)
-    serial = run_serial(random_wet_state(9, 7, seed=24), mixed_spec(), 6)
+    serial = mixed_run()
     assert solver._strips(9, 11) == [(0, 9)]
-    assert_same_run(run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 6, 2), serial)
+    assert_same_run(mixed_run(2), serial)
     assert mapped == []
     monkeypatch.setattr(solver, "_STRIP_CELLS", 1)
-    run_engine(random_wet_state(9, 7, seed=24), mixed_spec(), 1, 2)
+    mixed_run(2, steps=1)
     assert mapped == [9] * 4
 
 

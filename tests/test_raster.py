@@ -130,9 +130,10 @@ def test_grid_rejects_a_nan_nodata_sentinel():
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("xllcorner 10.0", "xllcorner nan", "xll must be finite, got nan"),
-    ("xllcorner 10.0", "xllcenter inf", "xll must be finite, got inf"),
-    ("yllcorner 20.0", "yllcorner -inf", "yll must be finite, got -inf"),
+    ("xllcorner 10.0", "xllcorner nan", "xllcorner must be finite, got nan"),
+    ("xllcorner 10.0", "xllcenter inf", "xllcenter must be finite, got inf"),
+    ("yllcorner 20.0", "yllcorner -inf", "yllcorner must be finite, got -inf"),
+    ("yllcorner 20.0", "yllcenter nan", "yllcenter must be finite, got nan"),
     ("cellsize 2.0", "cellsize inf", "cellsize must be finite, got inf"),
     ("NODATA_value -9999", "NODATA_value nan", "nodata must not be NaN"),
 ])

@@ -14,7 +14,6 @@ from swflood.raster import (
     load_raster,
     read_input,
     save_raster,
-    write_ascii_grid,
 )
 from swflood.simulation import (
     CHECKPOINT_MAGIC,
@@ -37,6 +36,7 @@ from swflood.simulation import (
 from swflood.solver import NumericalAbort
 from swflood.state import INT, PhysicalParams, State
 from full_disk import half_writing_open
+from scenes import read_summary, write_channel_scenario
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_load_scenario_rejects_a_spinup_key_without_a_discharge_edge(tmp_path, k
 
 
 def test_load_scenario_rejects_an_empty_riverbed_mask(tmp_path):
-    cfg = make_scenario_files(tmp_path)
+    cfg = write_channel_scenario(tmp_path)
     mask = tmp_path / "riverbed.txt"
     mask.write_text("# the river is yet to be mapped\n")
     with pytest.raises(ConfigError) as info:
@@ -340,7 +340,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_restart_digest_is_pinned(tmp_path):
     # The digest earlier builds of the SWFCHK03 format wrote for this
     # scenario; a change here makes their checkpoints refuse to load.
-    sc = load_scenario(make_scenario_files(tmp_path))
+    sc = load_scenario(write_channel_scenario(tmp_path))
     state, spec, _ = assemble(sc)
     assert _restart_digest(sc, state, spec).hex() == (
         "ada8a365d06108db77a8978264bb2cf365c2174a996fc3fb8425471b43ec3864"
@@ -348,7 +348,7 @@ def test_restart_digest_is_pinned(tmp_path):
 
 
 def test_checkpoint_rejects_other_scenarios(tmp_path):
-    sc = load_scenario(make_scenario_files(tmp_path))
+    sc = load_scenario(write_channel_scenario(tmp_path))
     state, spec, _ = assemble(sc)
     digest = _restart_digest(sc, state, spec)
     bumpy = state.copy()  # different topography, same shape
@@ -426,10 +426,13 @@ def test_event_schedule_includes_spinup_and_snapshots():
 
 
 def test_event_schedule_interval_dividing_total():
-    sc = scenario_stub(total=60.0, interval=20.0, spinup=0.0)
-    events, snaps = _event_schedule(sc)
-    assert events == [20.0, 40.0, 60.0]
-    assert snaps == {20.0, 40.0, 60.0}
+    # 3 * 0.7 is 2.0999999999999996: without a tolerance the schedule would
+    # add a snapshot 4.4e-16 s before the end.
+    for total, interval, expected in ((60.0, 20.0, [20.0, 40.0, 60.0]),
+                                      (2.1, 0.7, [0.7, 1.4, 2.1])):
+        events, snaps = _event_schedule(scenario_stub(total, interval, spinup=0.0))
+        assert events == expected
+        assert snaps == set(expected)
 
 
 def scenario_stub(total, interval, spinup):
@@ -448,36 +451,8 @@ def scenario_stub(total, interval, spinup):
 # --------------------------------------------------------------------------
 
 
-def make_scenario_files(tmp_path, extra="", outdir="out"):
-    """A small sloped channel with west inflow and east outflow."""
-    col = np.arange(10, dtype=np.float64)
-    z = np.tile(0.02 * (9.0 - col), (8, 1))
-    grid = RasterGrid(10, 8, 0.0, 0.0, 1.0, values=z)
-    (tmp_path / "terrain.asc").write_text(write_ascii_grid(grid))
-    (tmp_path / "riverbed.txt").write_text("3 0\n4 0\n")
-    (tmp_path / "hydro.txt").write_text("0 1.0\n5 2.0\n")
-    cfg = f"""\
-dsm = terrain.asc
-output_dir = {outdir}
-total_duration = 4
-snapshot_interval = 2
-spinup_duration = 1
-spinup_q = 0.5
-boundary.west = discharge
-boundary.east = free_outflow
-riverbed_mask = riverbed.txt
-hydrograph = hydro.txt
-{extra}"""
-    return write_config(tmp_path, cfg)
-
-
-def summary_dict(outdir):
-    text = (outdir / "summary.txt").read_text()
-    return dict(line.split(" = ", 1) for line in text.strip().splitlines())
-
-
 def test_run_produces_snapshots_maxima_and_summary(tmp_path):
-    sc = load_scenario(make_scenario_files(tmp_path))
+    sc = load_scenario(write_channel_scenario(tmp_path))
     res = run(sc)
     out = res.output_dir
     for stamp in ("000002", "000004"):
@@ -489,7 +464,7 @@ def test_run_produces_snapshots_maxima_and_summary(tmp_path):
     assert res.steps > 0
     assert res.balance.inflow > 0.0
     assert res.balance.closure() <= 1e-10
-    summary = summary_dict(out)
+    summary = read_summary(out)
     assert summary["status"] == "completed"
     assert int(summary["steps"]) == res.steps
     assert float(summary["mass_closure"]) == res.balance.closure()
@@ -503,7 +478,7 @@ def test_run_produces_snapshots_maxima_and_summary(tmp_path):
 def test_sub_second_snapshots_each_get_their_own_files(tmp_path):
     # Whole-second names would give t = 1.5 and t = 2.0 the same h_000002.asc.
     def scenario(total, outdir):
-        cfg = make_scenario_files(tmp_path, outdir=outdir)
+        cfg = write_channel_scenario(tmp_path, outdir=outdir)
         text = cfg.read_text()
         for old, new in (("total_duration = 4", f"total_duration = {total}"),
                          ("snapshot_interval = 2", "snapshot_interval = 0.5"),
@@ -525,13 +500,13 @@ def test_sub_second_snapshots_each_get_their_own_files(tmp_path):
 
 
 def test_run_restart_matches_uninterrupted(tmp_path):
-    sc_a = load_scenario(make_scenario_files(tmp_path, outdir="out_a"))
+    sc_a = load_scenario(write_channel_scenario(tmp_path, outdir="out_a"))
     res_a = run(sc_a)
 
     cp = tmp_path / "mid.chk"
-    sc_b = load_scenario(make_scenario_files(tmp_path, outdir="out_b"))
+    sc_b = load_scenario(write_channel_scenario(tmp_path, outdir="out_b"))
     run(sc_b, checkpoint=(2.0, cp))
-    sc_c = load_scenario(make_scenario_files(tmp_path, outdir="out_c"))
+    sc_c = load_scenario(write_channel_scenario(tmp_path, outdir="out_c"))
     res_c = run(sc_c, restart_path=cp)
 
     np.testing.assert_array_equal(res_c.state.h[INT], res_a.state.h[INT])
@@ -555,7 +530,7 @@ def test_run_restart_matches_uninterrupted(tmp_path):
 ])
 def test_run_restart_refuses_a_changed_scenario(tmp_path, name, old, new):
     cp = tmp_path / "mid.chk"
-    cfg = make_scenario_files(tmp_path, outdir="out_b")
+    cfg = write_channel_scenario(tmp_path, outdir="out_b")
     run(load_scenario(cfg), checkpoint=(2.0, cp))
     edited = tmp_path / name
     assert old in edited.read_text()
@@ -565,8 +540,8 @@ def test_run_restart_refuses_a_changed_scenario(tmp_path, name, old, new):
 
 
 def test_run_reads_no_inflow_file_after_the_scenario_loads(tmp_path):
-    res_kept = run(load_scenario(make_scenario_files(tmp_path, outdir="out_kept")))
-    cfg = make_scenario_files(tmp_path, outdir="out_gone")
+    res_kept = run(load_scenario(write_channel_scenario(tmp_path, outdir="out_kept")))
+    cfg = write_channel_scenario(tmp_path, outdir="out_gone")
     sc = load_scenario(cfg)
     (tmp_path / "hydro.txt").unlink()
     (tmp_path / "riverbed.txt").unlink()
@@ -594,8 +569,8 @@ def test_run_reads_no_inflow_file_after_the_scenario_loads(tmp_path):
 
 
 def test_run_blocked_matches_serial(tmp_path):
-    res1 = run(load_scenario(make_scenario_files(tmp_path, outdir="out_1")))
-    res2 = run(load_scenario(make_scenario_files(tmp_path, outdir="out_2")), blocks=2)
+    res1 = run(load_scenario(write_channel_scenario(tmp_path, outdir="out_1")))
+    res2 = run(load_scenario(write_channel_scenario(tmp_path, outdir="out_2")), blocks=2)
     np.testing.assert_array_equal(res2.state.h[INT], res1.state.h[INT])
     np.testing.assert_array_equal(res2.state.hu[INT], res1.state.hu[INT])
     assert res2.balance.inflow == res1.balance.inflow
@@ -604,7 +579,7 @@ def test_run_blocked_matches_serial(tmp_path):
 
 
 def test_run_checkpoint_argument_validation(tmp_path):
-    sc = load_scenario(make_scenario_files(tmp_path))
+    sc = load_scenario(write_channel_scenario(tmp_path))
     with pytest.raises(ConfigError, match="snapshot boundary"):
         run(sc, checkpoint=(1.7, tmp_path / "x.chk"))
     assert not (tmp_path / "x.chk").exists()
@@ -612,13 +587,13 @@ def test_run_checkpoint_argument_validation(tmp_path):
 
 def test_run_abort_writes_last_good_state(tmp_path):
     # dt_min above the CFL step forces an abort on the first step
-    sc = load_scenario(make_scenario_files(
+    sc = load_scenario(write_channel_scenario(
         tmp_path, extra="initial_h = 1\ndt_min = 1\ndt_max = 10\n"))
     with pytest.raises(NumericalAbort, match="dt_min"):
         run(sc)
     out = sc.output_dir
     assert (out / "h_abort_000000.asc").exists()
-    assert summary_dict(out)["status"] == "aborted"
+    assert read_summary(out)["status"] == "aborted"
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from swflood.solver import (
 )
 from swflood.raster import RasterGrid
 from swflood.state import INT, PhysicalParams, State, velocity
+from scenes import bump_lake, march, wet_dam
 
 G = 9.81
 WALLS = BoundarySpec.walls()
@@ -40,6 +41,14 @@ def test_state_validation():
         State(2, 2, 0.0, 1.0, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="does not match"):
         State(2, 2, 1.0, 1.0, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["dx", "dy", "xll", "yll"])
+def test_state_rejects_a_non_finite_geometry(name, value):
+    geometry = {"dx": 1.0, "dy": 1.0, "xll": 0.0, "yll": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value}$"):
+        State(2, 2, z=np.zeros((2, 2)), **geometry)
 
 
 def test_state_total_volume():
@@ -205,10 +214,7 @@ def test_flat_lake_at_rest_is_bitwise_fixed_point():
     st = lake(12, 9, depth=0.7)
     params = PhysicalParams()
     h0 = st.h[INT].copy()
-    t = 0.0
-    for _ in range(5):
-        diag = rk2_step(st, params, WALLS, t)
-        t += diag.dt
+    march(st, params, WALLS, 5)
     np.testing.assert_array_equal(st.h[INT], h0)
     np.testing.assert_array_equal(st.hu[INT], 0.0)
     np.testing.assert_array_equal(st.hv[INT], 0.0)
@@ -217,17 +223,8 @@ def test_flat_lake_at_rest_is_bitwise_fixed_point():
 def test_lake_at_rest_over_bump_stays_balanced():
     # Submerged parabolic bump, surface w = 0.5: after 50 steps the surface
     # and velocities stay at machine precision.
-    n = 30
-    x = (np.arange(n) + 0.5) * (25.0 / n)
-    zx = np.maximum(0.0, 0.2 - 0.05 * (x - 10.0) ** 2)
-    z = np.tile(zx, (n, 1))
-    st = State(n, n, 25.0 / n, 25.0 / n, z)
-    st.h[INT] = np.maximum(0.0, 0.5 - z)
-    params = PhysicalParams()
-    t = 0.0
-    for _ in range(50):
-        diag = rk2_step(st, params, WALLS, t)
-        t += diag.dt
+    st = bump_lake(30, bump=0.2)
+    march(st, PhysicalParams(), WALLS, 50)
     w = st.h[INT] + st.z[INT]
     assert np.abs(w - 0.5).max() <= 1e-13
     assert np.abs(st.hu[INT]).max() <= 1e-13
@@ -235,15 +232,8 @@ def test_lake_at_rest_over_bump_stays_balanced():
 
 def test_dam_break_stays_y_invariant():
     # A strip problem constant along y must stay constant along y.
-    n = 24
-    st = State(n, n, 0.5, 0.5, np.zeros((n, n)))
-    st.h[INT][:, : n // 2] = 1.0
-    st.h[INT][:, n // 2:] = 0.1
-    params = PhysicalParams()
-    t = 0.0
-    for _ in range(12):
-        diag = rk2_step(st, params, WALLS, t)
-        t += diag.dt
+    st = wet_dam(24)
+    march(st, PhysicalParams(), WALLS, 12)
     assert (st.h[INT] == st.h[INT][0:1, :]).all()
     assert (st.hu[INT] == st.hu[INT][0:1, :]).all()
     np.testing.assert_array_equal(st.hv[INT], 0.0)
@@ -255,14 +245,9 @@ def test_step_conserves_mass_in_closed_basin():
     st = State(n, n, 1.0, 1.0, np.zeros((n, n)))
     st.h[INT] = rng.uniform(0.5, 1.5, size=(n, n))
     v0 = st.total_volume()
-    params = PhysicalParams()
-    t = 0.0
-    for _ in range(20):
-        diag = rk2_step(st, params, WALLS, t)
-        t += diag.dt
-        # walls pass no mass: per-step boundary volumes are exactly zero
-        assert diag.inflow_volume == 0.0
-        assert diag.outflow_volume == 0.0
+    _, diags = march(st, PhysicalParams(), WALLS, 20)
+    # walls pass no mass: per-step boundary volumes are exactly zero
+    assert all(d.inflow_volume == 0.0 and d.outflow_volume == 0.0 for d in diags)
     assert st.total_volume() == pytest.approx(v0, rel=1e-14)
 
 

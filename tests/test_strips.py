@@ -8,7 +8,6 @@ at once; the strips must reproduce them bitwise for any thread count, any
 strip size and both friction couplings.
 """
 
-import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,9 +17,9 @@ import pytest
 
 from swflood import solver
 from swflood.boundary import BoundarySpec, free_outflow, wall
-from swflood.partition import BlockEngine, rk2_step
 from swflood.solver import NumericalAbort, euler_friction_stage
 from swflood.state import INT, PhysicalParams, State
+from scenes import field_digest, march
 
 STEPS = 12
 # Three strips of 128, 128 and 44 rows (checked by
@@ -61,36 +60,13 @@ VARIANTS = {  # PhysicalParams overrides on top of Manning 0.03
 }
 
 
-def digest(state, t, inflow, outflow):
-    hasher = hashlib.sha256()
-    for arr in (state.h[INT], state.hu[INT], state.hv[INT]):
-        hasher.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    hasher.update(np.array([t, inflow, outflow], dtype="<f8").tobytes())
-    return hasher.hexdigest()
-
-
 def params(variant="per_component"):
     return PhysicalParams(manning_n=0.03, **VARIANTS[variant])
 
 
 def run(variant, nblocks):
     state, spec = dam_with_dry_band()
-    prm = params(variant)
-    t = inflow = outflow = 0.0
-    if nblocks == 0:
-        for _ in range(STEPS):
-            d = rk2_step(state, prm, spec, t)
-            t += d.dt
-            inflow += d.inflow_volume
-            outflow += d.outflow_volume
-        return digest(state, t, inflow, outflow)
-    with BlockEngine(state, prm, spec, nblocks=nblocks) as eng:
-        for _ in range(STEPS):
-            d = eng.step(t)
-            t += d.dt
-            inflow += d.inflow_volume
-            outflow += d.outflow_volume
-        return digest(eng.gather(), t, inflow, outflow)
+    return field_digest(*march(state, params(variant), spec, STEPS, nblocks))
 
 
 def test_the_cases_span_several_strips():
