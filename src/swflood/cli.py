@@ -99,9 +99,12 @@ def _resolve_blocks(flag: int | None) -> int:
 
 def _execute(ns: argparse.Namespace) -> int:
     if ns.command == "build-dsm":
+        # The small selection first: an empty one fails before the large inputs load.
+        class_ids = read_input(ns.classes, read_class_selection)
+        if not class_ids:
+            raise ValueError(f"{ns.classes}: class selection is empty")
         dtm = load_raster(ns.dtm)
         features = read_input(ns.features, parse_features)
-        class_ids = read_input(ns.classes, read_class_selection)
         dsm = build_dsm(dtm, features, class_ids,
                         close_tolerance=ns.close_tolerance)
         save_raster(ns.out, dsm)

@@ -9,6 +9,12 @@ closed (first vertex equal to last); turning nearly-closed lines into
 polygons is a separate step (:func:`close_lines`).  Coordinates are the
 tokens Python's ``float()`` accepts; numpy's text parser converts them a
 block of lines at a time.
+
+Features are held as one :class:`FeatureTable`: four arrays, not one object
+per feature.  One vectorized rule says what a valid feature is (finite
+coordinates, the vertex count of its kind, a closed polygon ring).  It runs
+on each block of a parsed file and on every table built by hand; the tables
+that selection, closing and slicing derive from a valid table keep it.
 """
 
 from __future__ import annotations
@@ -17,83 +23,236 @@ import enum
 import io
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .raster import bulk_floats, data_lines
 
 
-class FeatureKind(enum.Enum):
-    POINT = "POINT"
-    LINE = "LINE"
-    POLYGON = "POLYGON"
+class FeatureKind(enum.IntEnum):
+    """The kind codes of ``FeatureTable.kinds``."""
+
+    POINT = 0
+    LINE = 1
+    POLYGON = 2
 
 
-_KINDS = {kind.value: kind for kind in FeatureKind}
+_KINDS = {kind.name: kind.value for kind in FeatureKind}
+# Fewest vertices of each kind, by code; a POINT has exactly one.
+_MIN_VERTICES = np.array([1, 2, 3])
+_INT64 = np.iinfo(np.int64)
 
-# Lines per block of parse_features, which makes one numpy conversion per
-# block.  Blocks this small keep the parse's peak memory at that of the
-# features it returns; larger ones were no faster.
-_BLOCK_LINES = 256
+# Lines per block of parse_features, which makes one numpy conversion and
+# one check of the rule per block.  On 20k features, blocks of 1024 lines
+# parsed about 10% faster than blocks of 256, at the same peak memory;
+# blocks of 4096 were no faster and raised the peak.
+_BLOCK_LINES = 1024
+
+# The reason _violation gives for a non-finite coordinate.
+_NON_FINITE = "non-finite vertex"
 
 
 class FeatureParseError(ValueError):
     """Malformed feature file input."""
 
 
-@dataclass(frozen=True)
-class ClassifiedFeature:
-    """One vector feature with a thematic class id and 3D vertices.
+class FeatureTable:
+    """Classified 3D vector features as columns.
 
-    ``vertices`` is an (n, 3) float array of x, y, z.  POINT has one vertex,
-    LINE at least two, POLYGON at least three with first == last.
+    Feature i has the class id ``class_ids[i]`` (int64), the kind
+    ``FeatureKind(kinds[i])`` (int8 codes) and the vertices
+    ``vertices[offsets[i]:offsets[i + 1]]``, rows of x, y, z in one (V, 3)
+    float64 array; ``offsets`` (int64) rises from 0 to V.  Every coordinate
+    is finite, a POINT has one vertex, a LINE at least two and a POLYGON at
+    least three with its first equal to its last.  The constructor checks
+    that rule and raises ValueError naming the first feature that breaks it.
+
+    ``len()`` counts the features.  Indexing with a slice gives a table of
+    views; an index array or boolean mask gives a table of copies.
     """
 
-    class_id: int
-    kind: FeatureKind
-    vertices: np.ndarray
+    __slots__ = ("class_ids", "kinds", "offsets", "vertices")
 
-    def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=np.float64)
-        if verts.ndim != 2 or verts.shape[1] != 3:
-            raise ValueError(f"vertices must be (n, 3), got {verts.shape}")
-        object.__setattr__(self, "vertices", verts)
-        n = len(verts)
-        if self.kind is FeatureKind.POINT and n != 1:
-            raise ValueError(f"POINT needs exactly 1 vertex, got {n}")
-        if self.kind is FeatureKind.LINE and n < 2:
-            raise ValueError(f"LINE needs at least 2 vertices, got {n}")
-        if self.kind is FeatureKind.POLYGON:
-            if n < 3:
-                raise ValueError(f"POLYGON needs at least 3 vertices, got {n}")
-            if not np.array_equal(verts[0], verts[-1]):
-                raise ValueError("POLYGON must be closed (first vertex == last)")
+    def __init__(self, class_ids, kinds, offsets, vertices):
+        class_ids = np.asarray(class_ids, dtype=np.int64)
+        kinds = np.asarray(kinds)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        vertices = np.asarray(vertices, dtype=np.float64)
+        n = len(class_ids)
+        if class_ids.shape != (n,) or kinds.shape != (n,) or offsets.shape != (n + 1,):
+            raise ValueError(
+                f"need F class ids, F kinds and F + 1 offsets, got {class_ids.shape}, "
+                f"{kinds.shape} and {offsets.shape}"
+            )
+        if not np.isin(kinds, list(FeatureKind)).all():
+            raise ValueError(f"kind codes must be those of FeatureKind, got {np.unique(kinds)}")
+        if vertices.ndim != 2 or vertices.shape[1] != 3:
+            raise ValueError(f"vertices must be (V, 3), got {vertices.shape}")
+        if offsets[0] != 0 or offsets[-1] != len(vertices) or (np.diff(offsets) < 0).any():
+            raise ValueError(f"offsets must rise from 0 to the {len(vertices)} vertices")
+        kinds = kinds.astype(np.int8)
+        found = _violation(kinds, offsets, vertices)
+        if found is not None:
+            i, reason = found
+            if reason is _NON_FINITE:
+                raise ValueError(f"feature {i} (class {class_ids[i]}) has a non-finite vertex")
+            raise ValueError(f"feature {i} (class {class_ids[i]}): {reason}")
+        self.class_ids, self.kinds, self.offsets, self.vertices = (
+            class_ids, kinds, offsets, vertices)
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def __getitem__(self, index) -> FeatureTable:
+        if isinstance(index, slice) and index.step in (None, 1):
+            start, stop, _ = index.indices(len(self))
+            stop = max(start, stop)
+            lo, hi = self.offsets[start], self.offsets[stop]
+            return _table(self.class_ids[start:stop], self.kinds[start:stop],
+                          self.offsets[start : stop + 1] - lo, self.vertices[lo:hi])
+        picked = np.arange(len(self))[index]
+        counts = np.diff(self.offsets)[picked]
+        offsets = _offsets(counts)
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[picked] - offsets[:-1], counts)
+        return _table(self.class_ids[picked], self.kinds[picked], offsets, self.vertices[rows])
 
 
-def parse_features(source) -> list[ClassifiedFeature]:
+def _table(class_ids, kinds, offsets, vertices) -> FeatureTable:
+    """A FeatureTable of arrays already known to keep the rule, left unchecked."""
+    table = FeatureTable.__new__(FeatureTable)
+    table.class_ids, table.kinds, table.offsets, table.vertices = (
+        class_ids, kinds, offsets, vertices)
+    return table
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _violation(kinds, offsets, vertices) -> tuple[int, str] | None:
+    """(index, reason) of the first feature that breaks the rule, or None.
+
+    The rule, in the order a feature's reason is chosen: every coordinate is
+    finite; a POINT has exactly one vertex, a LINE at least two, a POLYGON at
+    least three; a POLYGON's first vertex equals its last.
+    """
+    counts = np.diff(offsets)
+    # 3 an open ring, 2 a wrong vertex count, 1 a non-finite vertex; each
+    # overwrites the ones after it in the rule's order.
+    reason = np.zeros(len(kinds), dtype=np.int8)
+    ring = np.flatnonzero((kinds == FeatureKind.POLYGON) & (counts >= 3))
+    reason[ring[(vertices[offsets[ring]] != vertices[offsets[ring + 1] - 1]).any(axis=1)]] = 3
+    reason[np.where(kinds == FeatureKind.POINT, counts != 1,
+                    counts < _MIN_VERTICES[kinds])] = 2
+    if not np.isfinite(vertices).all():
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        reason[np.searchsorted(offsets, bad, side="right") - 1] = 1
+    flagged = np.flatnonzero(reason)
+    if not len(flagged):
+        return None
+    i = int(flagged[0])
+    n, kind = int(counts[i]), FeatureKind(int(kinds[i]))
+    if reason[i] == 1:
+        return i, _NON_FINITE
+    if reason[i] == 3:
+        return i, "POLYGON must be closed (first vertex == last)"
+    if kind is FeatureKind.POINT:
+        return i, f"POINT needs exactly 1 vertex, got {n}"
+    return i, f"{kind.name} needs at least {_MIN_VERTICES[kind]} vertices, got {n}"
+
+
+def parse_features(source) -> FeatureTable:
     """Parse a feature file from a string or open text stream.
 
     Blank lines and ``#`` comments are skipped.  Errors report the 1-based
     line number of the offending record; the first error in file order wins.
-    The vertices of each block of lines are converted by one numpy call into
-    a (V, 3) array whose slices become the features' vertices, or record by
-    record with ``float()`` when numpy refuses the block.
+    Each block of _BLOCK_LINES lines is split, converted by one numpy call and
+    checked by the rule as a whole.  A block that is not plain records, or
+    that fails, is read again line by line to name its first bad record.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    features = []
-    numbered = enumerate(source, start=1)
-    while block := list(itertools.islice(numbered, _BLOCK_LINES)):
-        _parse_block(block, features)
-    return features
+    # An empty block first gives each column its dtype, even for an empty file.
+    blocks = [(np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int64),
+               np.empty((0, 3)))]
+    first = 1
+    while lines := list(itertools.islice(source, _BLOCK_LINES)):
+        blocks.append(_parse_block(lines, first))
+        first += len(lines)
+    class_ids, kinds, counts, vertices = map(np.concatenate, zip(*blocks))
+    return _table(class_ids, kinds, _offsets(counts), vertices)
 
 
-def _parse_block(block: list[tuple[int, str]], features: list[ClassifiedFeature]) -> None:
-    """Append the features of a block of numbered lines to ``features``."""
-    records = []
+def _parse_block(lines: list[str], first: int):
+    """(class ids, kind codes, vertex counts, vertices) of the records of
+    ``lines``, whose first is line ``first``; raises the first error."""
+    records, error = _plain_records(lines, first), None
+    if records is None:
+        records, error = _records(lines, first)
+    linenos, class_ids, kinds, vtoks, counts = records
+    offsets = _offsets(counts)
+    vertices = bulk_floats(vtoks, len(vtoks), 3)
+    if vertices is None:
+        # float() each record's vertices; a conversion error ends the block
+        # there, after the records before it have passed the rule.
+        flat = []
+        for i, lineno in enumerate(linenos):
+            try:
+                _vertices(lineno, vtoks[offsets[i] : offsets[i + 1]], flat)
+            except FeatureParseError as exc:
+                kinds, offsets, error = kinds[:i], offsets[: i + 1], exc
+                break
+        vertices = np.array(flat, dtype=np.float64).reshape(-1, 3)
+    found = _violation(kinds, offsets, vertices)
+    if found is not None:
+        raise FeatureParseError(f"line {linenos[found[0]]}: {found[1]}")
+    if error is not None:
+        raise error
+    return class_ids, kinds, counts, vertices
+
+
+def _plain_records(lines: list[str], first: int):
+    """The records of a block whose every line is one record in the plain
+    spelling, split by one ``str.split``, or None.
+
+    Plain means exactly two ``;`` on every line, a class id that ``int()``
+    reads and int64 holds, and a kind in capitals; a blank line fails the
+    first and a comment line the second.  Any other block goes to the
+    per-line loop, which reads every spelling the same way.
+    """
+    n = len(lines)
+    if list(map(str.count, lines, itertools.repeat(";", n))) != [2] * n:
+        return None
+    text = "".join(lines)
+    # Each line ends in its line break, if any, so it gives three fields.
+    fields = text.replace("\n", ";").split(";")[: 3 * n]
+    try:
+        class_ids = list(map(int, fields[0::3]))
+    except ValueError:
+        return None
+    # Checked here: numpy before 2.0 wraps an int outside int64, with a warning.
+    if min(class_ids) < _INT64.min or max(class_ids) > _INT64.max:
+        return None
+    kinds = list(map(_KINDS.get, fields[1::3]))
+    if None in kinds:
+        return None
+    verts = fields[2::3]
+    counts = np.array(list(map(str.count, verts, itertools.repeat(",", n))), dtype=np.int64)
+    return (range(first, first + n), np.array(class_ids, dtype=np.int64),
+            np.array(kinds, dtype=np.int8), ",".join(verts).split(","), counts + 1)
+
+
+def _records(lines: list[str], first: int):
+    """(records, error) of a block read line by line.
+
+    The records are those before the first line with a malformed class id,
+    kind or field count, whose FeatureParseError is the error (or None).
+    """
+    linenos, class_ids, kinds, vtoks, counts = [], [], [], [], []
     error = None
-    for lineno, raw in block:
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -109,34 +268,26 @@ def _parse_block(block: list[tuple[int, str]], features: list[ClassifiedFeature]
         except ValueError:
             error = FeatureParseError(f"line {lineno}: bad class id {cls_tok!r}")
             break
+        if not _INT64.min <= class_id <= _INT64.max:
+            error = FeatureParseError(f"line {lineno}: class id {cls_tok!r} is outside int64")
+            break
         kind = _KINDS.get(kind_tok.upper())
         if kind is None:
             error = FeatureParseError(f"line {lineno}: unknown kind {kind_tok!r}")
             break
-        records.append((lineno, class_id, kind, verts_tok.split(",")))
-
-    # A structural error raises only after the records before it have
-    # passed their numeric and vertex-count checks.
-    strings = [vtok for record in records for vtok in record[3]]
-    coords = bulk_floats(strings, len(strings), 3)
-    start = 0
-    for lineno, class_id, kind, vtoks in records:
-        if coords is None:
-            vertices = _vertices(lineno, vtoks)
-        else:
-            vertices = coords[start : start + len(vtoks)]
-            start += len(vtoks)
-        try:
-            features.append(ClassifiedFeature(class_id, kind, vertices))
-        except ValueError as exc:
-            raise FeatureParseError(f"line {lineno}: {exc}") from None
-    if error is not None:
-        raise error
+        tokens = verts_tok.split(",")
+        linenos.append(lineno)
+        class_ids.append(class_id)
+        kinds.append(kind)
+        vtoks.extend(tokens)
+        counts.append(len(tokens))
+    records = (linenos, np.array(class_ids, dtype=np.int64), np.array(kinds, dtype=np.int8),
+               vtoks, np.array(counts, dtype=np.int64))
+    return records, error
 
 
-def _vertices(lineno: int, vtoks: list[str]) -> np.ndarray:
-    """One record's vertices converted with ``float()``, naming the first bad one."""
-    vertices = []
+def _vertices(lineno: int, vtoks: list[str], flat: list[float]) -> None:
+    """Append one record's coordinates to ``flat`` with ``float()``, naming the first bad vertex."""
     for vi, vtok in enumerate(vtoks):
         comps = vtok.split()
         if len(comps) != 3:
@@ -144,15 +295,14 @@ def _vertices(lineno: int, vtoks: list[str]) -> np.ndarray:
                 f"line {lineno}: vertex {vi} must be 'x y z', got {vtok.strip()!r}"
             )
         try:
-            xyz = tuple(float(c) for c in comps)
+            xyz = [float(c) for c in comps]
         except ValueError:
             raise FeatureParseError(
                 f"line {lineno}: non-numeric coordinate in vertex {vi}: {vtok.strip()!r}"
             ) from None
-        if not all(math.isfinite(c) for c in xyz):
+        if not all(map(math.isfinite, xyz)):
             raise FeatureParseError(f"line {lineno}: non-finite coordinate in vertex {vi}")
-        vertices.append(xyz)
-    return np.array(vertices)
+        flat.extend(xyz)
 
 
 def read_class_selection(source) -> set[int]:
@@ -166,35 +316,54 @@ def read_class_selection(source) -> set[int]:
     return ids
 
 
-def select_classes(
-    features: list[ClassifiedFeature], class_ids: set[int]
-) -> list[ClassifiedFeature]:
-    """Keep features whose class id is in ``class_ids``, preserving order."""
-    return [f for f in features if f.class_id in class_ids]
+def select_classes(features: FeatureTable, class_ids) -> FeatureTable:
+    """The features whose class id is in ``class_ids``, in their order.
+
+    An id that int64 cannot hold matches no feature.
+    """
+    wanted = [c for c in class_ids if _INT64.min <= c <= _INT64.max]
+    return features[np.isin(features.class_ids, np.array(wanted, dtype=np.int64))]
 
 
-def close_lines(
-    features: list[ClassifiedFeature], tolerance: float
-) -> list[ClassifiedFeature]:
+def close_lines(features: FeatureTable, tolerance: float) -> FeatureTable:
     """Convert LINE features with nearly coincident endpoints into POLYGONs.
 
-    A LINE with at least three vertices whose endpoint xy-distance is within
-    ``tolerance`` becomes a POLYGON with the last vertex snapped onto the
-    first.  Other features pass through unchanged; order is preserved.
+    A LINE with at least three vertices whose endpoint xy-distance
+    ``math.hypot(dx, dy)`` is within ``tolerance`` becomes a POLYGON with the
+    last vertex snapped onto the first.  Other features pass through
+    unchanged; order is preserved, and ``features`` is not changed.
     """
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-    out = []
-    for f in features:
-        if f.kind is FeatureKind.LINE and len(f.vertices) >= 3:
-            gap = math.hypot(
-                f.vertices[-1, 0] - f.vertices[0, 0],
-                f.vertices[-1, 1] - f.vertices[0, 1],
-            )
-            if gap <= tolerance:
-                verts = f.vertices.copy()
-                verts[-1] = verts[0]
-                out.append(ClassifiedFeature(f.class_id, FeatureKind.POLYGON, verts))
-                continue
-        out.append(f)
-    return out
+    start, stop = features.offsets[:-1], features.offsets[1:] - 1
+    lines = np.flatnonzero((features.kinds == FeatureKind.LINE) & (stop - start >= 2))
+    head, tail = features.vertices[start[lines]], features.vertices[stop[lines]]
+    with np.errstate(over="ignore"):  # an overflow gives the inf math.hypot gets
+        lines = lines[_within(tail[:, 0] - head[:, 0], tail[:, 1] - head[:, 1], tolerance)]
+    if not len(lines):
+        return features
+    kinds = features.kinds.copy()
+    kinds[lines] = FeatureKind.POLYGON
+    vertices = features.vertices.copy()
+    vertices[stop[lines]] = vertices[start[lines]]
+    return _table(features.class_ids, kinds, features.offsets, vertices)
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, tolerance: float) -> np.ndarray:
+    """``math.hypot(dx, dy) <= tolerance`` of each pair, without a call per pair.
+
+    Where the larger of |dx|, |dy| lies in (1e-150, 1e150) neither square
+    overflows or loses precision, so sqrt(dx*dx + dy*dy) is within a few ulps
+    of math.hypot, and decides every pair more than 1e-12 relative away from
+    the tolerance.  math.hypot itself decides the rest.  Equal endpoints are
+    within any tolerance.
+    """
+    size = np.maximum(np.abs(dx), np.abs(dy))
+    gap = np.sqrt(dx * dx + dy * dy)
+    within = gap <= tolerance
+    clear = (size == 0) | ((size > 1e-150) & (size < 1e150)
+                           & (np.abs(gap - tolerance) > 1e-12 * tolerance))
+    near = np.flatnonzero(~clear)
+    within[near] = [math.hypot(a, b) <= tolerance
+                    for a, b in zip(dx[near].tolist(), dy[near].tolist())]
+    return within

@@ -11,8 +11,9 @@ blocks of rows with numpy's text parser; a block that parser refuses is read
 again row by row with ``float()``, which gives the same values or names the
 first malformed token.
 
-The package reads every input file through :func:`read_input` (UTF-8, the
-path in front of any parse error) and writes through :func:`atomic_open`.
+The package reads every input file through :func:`read_input` (UTF-8, with
+or without a byte order mark; the path in front of any parse error) and
+writes through :func:`atomic_open`.
 """
 
 from __future__ import annotations
@@ -260,16 +261,18 @@ def load_raster(path) -> RasterGrid:
 def read_input(path, parse):
     """``parse`` applied to the text stream of the UTF-8 file ``path``.
 
+    A leading byte order mark, which Windows tools often write, is dropped.
     A ValueError of the parser is raised again as its own type with
     ``"<path>: "`` in front of its message; bytes that are not UTF-8 raise
     ValueError naming their line.  OSError passes through unchanged.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh)
     except UnicodeDecodeError:
         # The stream decodes in chunks, so the error's position counts from
-        # its chunk; decode the whole file once more to find the line.
+        # its chunk; decode the whole file once more to find the line.  A
+        # byte order mark decodes as UTF-8 too and breaks no line.
         data = Path(path).read_bytes()
         try:
             data.decode("utf-8")

@@ -1,7 +1,8 @@
 """Rasterization of classified features onto a grid and DSM extrusion.
 
 The selected features are rasterized in batches of _BATCH_FEATURES
-consecutive features, each batch in whole-array numpy passes:
+consecutive features, each batch a slice of the feature table and
+rasterized in whole-array numpy passes:
 
 - A point contributes the cell that holds it.
 - Every segment of every LINE and POLYGON is split where it crosses a
@@ -40,7 +41,7 @@ import logging
 
 import numpy as np
 
-from .features import ClassifiedFeature, FeatureKind, close_lines, select_classes
+from .features import FeatureKind, FeatureTable, close_lines, select_classes
 from .raster import RasterGrid
 
 logger = logging.getLogger(__name__)
@@ -178,34 +179,31 @@ def _fill(grid: RasterGrid, ring, px, py, qx, qy):
     return r[pair], row[pair], c0[owner] + rank
 
 
-def _contributions(features: list[ClassifiedFeature], grid: RasterGrid):
+def _contributions(features: FeatureTable, grid: RasterGrid):
     """(rows, cols, z) of the cell contributions of all features on the grid.
 
     Cells outside the grid are dropped.  Contributions come feature by
     feature; within a feature, its segments' supercover cells come first,
     then its polygon fill.
     """
-    kinds = [f.kind for f in features]
-    points = np.array([i for i, k in enumerate(kinds) if k is FeatureKind.POINT], dtype=np.intp)
-    paths = [i for i, k in enumerate(kinds) if k is not FeatureKind.POINT]
-
-    pxyz = np.array([features[i].vertices[0] for i in points]).reshape(-1, 3)
+    kinds, offsets, verts = features.kinds, features.offsets, features.vertices
+    points = np.flatnonzero(kinds == FeatureKind.POINT)
+    pxyz = verts[offsets[points]]
     inside, prow, pcol = _cells(grid, pxyz[:, 0], pxyz[:, 1])
 
-    verts = np.concatenate([np.empty((0, 3))] + [features[i].vertices for i in paths])
-    sizes = np.array([len(features[i].vertices) for i in paths], dtype=np.intp)
+    # A segment starts at every vertex but the last of its feature, so a
+    # POINT starts none.
     last = np.zeros(len(verts), dtype=bool)
-    last[np.cumsum(sizes) - 1] = True
+    last[offsets[1:] - 1] = True
     a = np.flatnonzero(~last)  # segment j runs from vertex a[j] to a[j] + 1
-    owner = np.repeat(np.array(paths, dtype=np.intp), sizes - 1)
+    owner = np.repeat(np.arange(len(kinds)), np.diff(offsets) - 1)
     v0, v1 = verts[a], verts[a + 1]
     s, srow, scol, sz = _supercover(grid, v0[:, 0], v0[:, 1], v0[:, 2],
                                     v1[:, 0], v1[:, 1], v1[:, 2])
 
-    z_fill = np.zeros(len(features))
-    polygons = [i for i in paths if kinds[i] is FeatureKind.POLYGON]
-    z_fill[polygons] = [features[i].vertices[:, 2].max() for i in polygons]
-    edge = np.flatnonzero(np.isin(owner, polygons))
+    # Every feature has a vertex, so each reduceat range is its own vertices.
+    z_fill = np.maximum.reduceat(verts[:, 2], offsets[:-1]) if len(kinds) else np.zeros(0)
+    edge = np.flatnonzero(kinds[owner] == FeatureKind.POLYGON)
     ring, frow, fcol = _fill(grid, owner[edge], v0[edge, 0], v0[edge, 1],
                              v1[edge, 0], v1[edge, 1])
 
@@ -247,25 +245,9 @@ def _raise(values: np.ndarray, terrain: np.ndarray, nodata: float, rows, cols, z
     return len(on_data) - int(np.count_nonzero(on_data))
 
 
-def _check_finite(batch, start, features, class_ids) -> None:
-    """Raise ValueError if a vertex of the batch is not finite.
-
-    ``batch`` holds the selected features from index ``start`` on; the error
-    names the first such feature by its class id and its index in
-    ``features``, found only once one is known to exist.
-    """
-    if np.isfinite(np.concatenate([f.vertices for f in batch])).all():
-        return
-    k = start + next(i for i, f in enumerate(batch) if not np.isfinite(f.vertices).all())
-    index = [i for i, f in enumerate(features) if f.class_id in class_ids][k]
-    raise ValueError(
-        f"feature {index} (class {features[index].class_id}) has a non-finite vertex"
-    )
-
-
 def build_dsm(
     dtm: RasterGrid,
-    features: list[ClassifiedFeature],
+    features: FeatureTable,
     class_ids: set[int],
     close_tolerance: float = 0.1,
 ) -> RasterGrid:
@@ -273,18 +255,20 @@ def build_dsm(
 
     The selected features are rasterized and raised in input order, a batch
     of _BATCH_FEATURES at a time, onto one copy of the DTM: peak memory is the
-    DSM plus one batch, whatever the number of features.  A selected feature
-    with a non-finite vertex is a ValueError naming it.
+    DSM plus one batch, whatever the number of features.  One warning names
+    the selected class ids that no feature has.
     """
     if not class_ids:
         raise ValueError("class selection is empty")
     selected = close_lines(select_classes(features, class_ids), close_tolerance)
+    unmatched = set(class_ids).difference(np.unique(selected.class_ids).tolist())
+    if unmatched:
+        logger.warning("no feature has the selected class id(s) %s",
+                       ", ".join(map(str, sorted(unmatched))))
     dsm = dtm.copy()
     contributed = skipped = 0
     for start in range(0, len(selected), _BATCH_FEATURES):
-        batch = selected[start : start + _BATCH_FEATURES]
-        _check_finite(batch, start, features, class_ids)
-        rows, cols, z = _contributions(batch, dtm)
+        rows, cols, z = _contributions(selected[start : start + _BATCH_FEATURES], dtm)
         contributed += len(z)
         skipped += _raise(dsm.values, dtm.values, dtm.nodata, rows, cols, z)
     logger.info(

@@ -15,15 +15,19 @@
 - ``march`` and ``march_to``: the fixed-count and fixed-horizon stepping
   loops.  ``field_digest`` is the sha256 of the fields and the boundary
   volumes that ``march`` leaves.
+- ``Feature``, ``feature_table`` and ``features_of``: one classified feature
+  as a record, and the conversions between records and a ``FeatureTable``.
 """
 
 import hashlib
 from contextlib import nullcontext
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from swflood.boundary import BoundarySpec, apply_boundaries
+from swflood.features import FeatureKind, FeatureTable
 from swflood.partition import BlockEngine, land, rk2_step
 from swflood.raster import RasterGrid, write_ascii_grid
 from swflood.solver import compute_dt
@@ -52,6 +56,28 @@ def valley_z(rng=None):
         ring[r0 + 1 : r1 - 1, c0 + 1 : c1 - 1] = False
         z[ring] += 4.0
     return z
+
+
+class Feature(NamedTuple):
+    class_id: int
+    kind: FeatureKind
+    vertices: np.ndarray  # (n, 3) rows of x, y, z
+
+
+def feature_table(*features):
+    """The FeatureTable of ``Feature`` records (or any (class id, kind,
+    vertices) triples), in order; the table's constructor checks them."""
+    verts = [np.asarray(f[2], dtype=np.float64).reshape(-1, 3) for f in features]
+    return FeatureTable([f[0] for f in features], [f[1] for f in features],
+                        np.cumsum([0] + [len(v) for v in verts]),
+                        np.concatenate([np.empty((0, 3))] + verts))
+
+
+def features_of(table):
+    """The features of a FeatureTable as ``Feature`` records of views."""
+    bounds = table.offsets.tolist()
+    return [Feature(int(c), FeatureKind(int(k)), table.vertices[a:b])
+            for c, k, a, b in zip(table.class_ids, table.kinds, bounds[:-1], bounds[1:])]
 
 
 def bump_lake(n, bump, surface=0.5, extent=25.0):

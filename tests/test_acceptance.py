@@ -308,7 +308,7 @@ def test_extrusion_never_lowers_terrain_and_ignores_feature_order():
         parsed = parse_features(io.StringIO("\n".join(features) + "\n"))
         dsm = build_dsm(dtm, parsed, {1, 2, 3})
         assert (dsm.values >= dtm.values).all()
-        shuffled = [parsed[i] for i in rng.permutation(len(parsed))]
+        shuffled = parsed[rng.permutation(len(parsed))]
         dsm2 = build_dsm(dtm, shuffled, {1, 2, 3})
         np.testing.assert_array_equal(dsm2.values, dsm.values)
 

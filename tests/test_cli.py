@@ -10,8 +10,9 @@ import pytest
 
 from swflood import raster
 from swflood.cli import UsageError, _resolve_blocks, main, parse_args
-from swflood.raster import RasterGrid, load_raster, write_ascii_grid
-from swflood.simulation import ConfigError
+from swflood.features import parse_features, read_class_selection
+from swflood.raster import RasterGrid, load_raster, read_ascii_grid, read_input, write_ascii_grid
+from swflood.simulation import ConfigError, load_scenario
 from full_disk import half_writing_open
 from scenes import read_summary, write_channel_scenario
 
@@ -241,6 +242,50 @@ def test_build_dsm_on_a_malformed_input_exits_one_without_traceback(tmp_path, fi
     assert f"{path}: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "d.asc").exists()
+
+
+def test_build_dsm_reads_an_empty_selection_before_the_other_inputs(tmp_path, caplog):
+    # The feature file does not exist: the empty selection fails first.
+    argv = write_build_inputs(tmp_path)
+    (tmp_path / "features.txt").unlink()
+    (tmp_path / "classes.txt").write_text("# nothing selected yet\n")
+    assert main(argv) == 1
+    assert f"{tmp_path / 'classes.txt'}: class selection is empty" in caplog.text
+    assert "features.txt" not in caplog.text
+    assert not (tmp_path / "d.asc").exists()
+
+
+BOM = "\ufeff".encode()
+
+
+def test_inputs_that_start_with_a_byte_order_mark_read_as_without_one(tmp_path):
+    argv = write_build_inputs(tmp_path)
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n20;LINE;0 0 1,3 3 2\n")
+    (tmp_path / "classes.txt").write_text("10\n20\n")
+    write_channel_scenario(tmp_path)
+
+    def feature_columns(path):
+        table = read_input(path, parse_features)
+        return [a.tobytes() for a in (table.class_ids, table.kinds, table.offsets, table.vertices)]
+
+    readers = {"dtm.asc": lambda path: read_input(path, read_ascii_grid).values.tobytes(),
+               "features.txt": feature_columns,
+               "classes.txt": lambda path: read_input(path, read_class_selection),
+               "scenario.cfg": lambda path: repr(load_scenario(path))}
+    plain = {name: read(tmp_path / name) for name, read in readers.items()}
+    assert main(argv) == 0
+    dsm = (tmp_path / "d.asc").read_bytes()
+    for name in readers:
+        path = tmp_path / name
+        path.write_bytes(BOM + path.read_bytes())
+    assert {name: read(tmp_path / name) for name, read in readers.items()} == plain
+    assert main(argv) == 0
+    assert (tmp_path / "d.asc").read_bytes() == dsm
+    # A byte that is not UTF-8 after the mark still names its line.
+    path = tmp_path / "features.txt"
+    path.write_bytes(BOM + b"10;POINT;1.5 1.5 7\n# caf\xff\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 2 is not UTF-8 text$"):
+        read_input(path, parse_features)
 
 
 def write_build_inputs(tmp_path):

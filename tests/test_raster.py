@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swflood import raster
-from swflood.features import ClassifiedFeature, FeatureKind
+from swflood.features import FeatureKind
 from swflood.raster import (
     _HEADER_KEYS,
     RasterGrid,
@@ -22,6 +22,7 @@ from swflood.raster import (
     write_ascii_grid,
 )
 from swflood.rasterize import _contributions
+from scenes import feature_table
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0):
@@ -218,8 +219,7 @@ def test_cell_of_maps_world_to_row_col():
     g = make_grid(np.zeros((2, 3)), xll=10.0, yll=20.0, cellsize=2.0)
 
     def cells(x, y):
-        point = ClassifiedFeature(1, FeatureKind.POINT, np.array([[x, y, 1.0]]))
-        rows, cols, _ = _contributions([point], g)
+        rows, cols, _ = _contributions(feature_table((1, FeatureKind.POINT, [[x, y, 1.0]])), g)
         return list(zip(rows.tolist(), cols.tolist()))
 
     assert cells(10.5, 20.5) == [(1, 0)]  # south-west corner cell

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from swflood import rasterize
-from swflood.features import ClassifiedFeature, FeatureKind, close_lines, select_classes
+from swflood.features import FeatureKind, close_lines, select_classes
 from swflood.raster import RasterGrid
 from swflood.rasterize import _contributions, _raise, build_dsm
+from scenes import Feature, feature_table, features_of
 
 # The array core divides only on the lanes it keeps: no masked-out lane may
 # warn of a division by zero or an invalid value.
@@ -30,12 +31,12 @@ GRID5 = RasterGrid(5, 5, 0.0, 0.0, 1.0, -9999.0, np.zeros((5, 5)))
 
 
 def feat(kind, *xyz, class_id=1):
-    return ClassifiedFeature(class_id, kind, np.array(xyz, dtype=float))
+    return Feature(class_id, kind, np.array(xyz, dtype=float))
 
 
 def contributions(feature, grid):
     """[((row, col), z)] of one feature, in the order _contributions gives them."""
-    rows, cols, z = _contributions([feature], grid)
+    rows, cols, z = _contributions(feature_table(feature), grid)
     return [((r, c), v) for r, c, v in zip(rows.tolist(), cols.tolist(), z.tolist())]
 
 
@@ -220,7 +221,7 @@ def test_extrude_skips_nodata_cells_with_warning():
     # build_dsm warns once, with the total over its batches.
     posts = [feat(FeatureKind.POINT, (x, 0.5, 4.0)) for x in (1.5, 0.5, 1.2)]
     with Warnings("swflood.rasterize") as warned:
-        dsm = build_dsm(dtm, posts, {1})
+        dsm = build_dsm(dtm, feature_table(*posts), {1})
     assert dsm.values.tobytes() == values.tobytes()
     assert warned.messages == ["skipped 2 feature cell(s) on nodata terrain"]
 
@@ -239,7 +240,7 @@ def test_build_dsm_selects_closes_and_extrudes():
         # Ignored class.
         feat(FeatureKind.POINT, (4.5, 4.5, 9.0), class_id=99),
     ]
-    dsm = build_dsm(dtm, features, {30}, close_tolerance=0.1)
+    dsm = build_dsm(dtm, feature_table(*features), {30}, close_tolerance=0.1)
     assert dsm.values[3, 0] == 2.0  # interior of the closed ring
     assert dsm.values[0, 4] == 0.0  # class 99 untouched
     assert (dtm.values == 0.0).all()  # input untouched
@@ -247,7 +248,7 @@ def test_build_dsm_selects_closes_and_extrudes():
 
 def test_build_dsm_rejects_empty_selection():
     with pytest.raises(ValueError, match="empty"):
-        build_dsm(make_dtm(np.zeros((2, 2))), [], set())
+        build_dsm(make_dtm(np.zeros((2, 2))), feature_table(), set())
 
 
 # --------------------------------------------------------------------------
@@ -373,9 +374,13 @@ def ref_extrude(dtm, cells):
 
 
 def ref_build_dsm(dtm, features, class_ids, close_tolerance=0.1):
+    unmatched = class_ids - {f.class_id for f in features_of(features)}
+    if unmatched:
+        ref_logger.warning("no feature has the selected class id(s) %s",
+                           ", ".join(map(str, sorted(unmatched))))
     selected = close_lines(select_classes(features, class_ids), close_tolerance)
     cells = []
-    for feature in selected:
+    for feature in features_of(selected):
         cells.extend(ref_rasterize_feature(feature, dtm))
     return ref_extrude(dtm, cells)
 
@@ -408,7 +413,8 @@ class Warnings(logging.Handler):
 
 
 def both_builds(dtm, features, class_ids):
-    """(DSM, warnings) of build_dsm and of the reference on the same input."""
+    """(DSM, warnings) of build_dsm and of the reference on the same features."""
+    features = feature_table(*features)
     with Warnings("swflood.rasterize") as new, Warnings("reference.rasterize") as ref:
         dsm = build_dsm(dtm, features, class_ids)
         expected = ref_build_dsm(dtm, features, class_ids)
@@ -574,7 +580,7 @@ def seeded_town(seed, n=200, count=2000):
             verts = np.vstack([verts, verts[0]])
         elif kind == "RING":
             verts = np.vstack([verts, verts[0] + (0.03, -0.02, 0.0)])
-        features.append(ClassifiedFeature(
+        features.append(Feature(
             class_id, FeatureKind.POINT if kind == "POINT" else
             FeatureKind.POLYGON if kind == "POLYGON" else FeatureKind.LINE, verts))
     return dtm, features
@@ -605,7 +611,7 @@ def test_a_cell_raised_to_nodata_by_one_batch_is_raised_by_the_next():
     posts = [feat(FeatureKind.POINT, (0.5, 0.5, z)) for z in (0.0, 5.0)]
     with patch.object(rasterize, "_BATCH_FEATURES", 1), \
             Warnings("swflood.rasterize") as warned:
-        dsm = build_dsm(dtm, posts, {1})
+        dsm = build_dsm(dtm, feature_table(*posts), {1})
     assert dsm.values[0, 0] == 5.0
     assert warned.messages == []
 
@@ -615,17 +621,18 @@ def test_signed_zero_ties_across_batches_keep_the_first(first, second):
     dtm = make_dtm([[-1.0]])
     posts = [feat(FeatureKind.POINT, (0.5, 0.5, z)) for z in (first, second)]
     with patch.object(rasterize, "_BATCH_FEATURES", 1):
-        dsm = build_dsm(dtm, posts, {1})
+        dsm = build_dsm(dtm, feature_table(*posts), {1})
     assert dsm.values.tobytes() == np.array([[first]]).tobytes()
 
 
 def test_non_finite_vertices_are_an_error():
+    # The table refuses them, so build_dsm never meets one; the index counts
+    # every feature, selected or not.
     nan, inf = math.nan, math.inf
     dtm = make_dtm(np.zeros((10, 10)))
-    # An unselected feature may hold anything, but it counts in the index.
-    unselected = feat(FeatureKind.POINT, (nan, 0.5, 2.0), class_id=2)
+    unselected = feat(FeatureKind.POINT, (7.5, 0.5, 2.0), class_id=2)
     post = feat(FeatureKind.POINT, (1.5, 0.5, 2.0))
-    assert build_dsm(dtm, [unselected, post], {1}).values[9, 1] == 2.0
+    assert build_dsm(dtm, feature_table(unselected, post), {1}).values[9, 1] == 2.0
     for bad in (
         feat(FeatureKind.LINE, (nan, 1.5, 1.0), (3.5, 3.5, 1.0), class_id=7),
         feat(FeatureKind.LINE, (inf, 1.5, 1.0), (3.5, 3.5, 1.0), class_id=7),
@@ -635,7 +642,22 @@ def test_non_finite_vertices_are_an_error():
              (1.0, 1.0, 1.0), class_id=7),
     ):
         with pytest.raises(ValueError, match=r"^feature 2 \(class 7\) has a non-finite vertex$"):
-            build_dsm(dtm, [post, unselected, bad, post], {1, 7})
+            feature_table(post, unselected, bad, post)
+
+
+def test_a_selected_class_that_no_feature_has_is_named_in_one_warning(caplog):
+    dtm = make_dtm(np.zeros((4, 4)))
+    posts = feature_table(feat(FeatureKind.POINT, (0.5, 0.5, 3.0)),
+                          feat(FeatureKind.POINT, (2.5, 2.5, 5.0), class_id=2))
+    with caplog.at_level(logging.INFO, logger="swflood.rasterize"):
+        dsm = build_dsm(dtm, posts, {40, 1, 2**70, 3})
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [f"no feature has the selected class id(s) 3, 40, {2**70}"]
+    assert dsm.values.tobytes() == build_dsm(dtm, posts, {1}).values.tobytes()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="swflood.rasterize"):
+        build_dsm(dtm, posts, {1, 2})
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 # The build tests above, rerun with batches of 1 and 3 features, so that
@@ -663,6 +685,7 @@ def test_build_dsm_peak_memory_is_flat_in_the_feature_count():
     peaks = []
     for count in (2000, 8000):
         dtm, features = seeded_town(11, count=count)
+        features = feature_table(*features)
         tracemalloc.start()
         try:
             build_dsm(dtm, features, {1})
