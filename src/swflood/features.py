@@ -48,8 +48,8 @@ _INT64 = np.iinfo(np.int64)
 # blocks of 4096 were no faster and raised the peak.
 _BLOCK_LINES = 1024
 
-# The reason _violation gives for a non-finite coordinate.
-_NON_FINITE = "non-finite vertex"
+# The codes of _violation's reasons, from the last in the rule's order.
+_OPEN_RING, _VERTEX_COUNT, _NON_FINITE = 3, 2, 1
 
 
 class FeatureParseError(ValueError):
@@ -67,8 +67,8 @@ class FeatureTable:
     least three with its first equal to its last.  The constructor checks
     that rule and raises ValueError naming the first feature that breaks it.
 
-    ``len()`` counts the features.  Indexing with a slice gives a table of
-    views; an index array or boolean mask gives a table of copies.
+    ``len()`` counts the features.  Indexing with a slice, an index array or
+    a boolean mask gives a table of copies of the features it picks.
     """
 
     __slots__ = ("class_ids", "kinds", "offsets", "vertices")
@@ -93,10 +93,11 @@ class FeatureTable:
         kinds = kinds.astype(np.int8)
         found = _violation(kinds, offsets, vertices)
         if found is not None:
-            i, reason = found
-            if reason is _NON_FINITE:
+            i, code = found
+            if code == _NON_FINITE:
                 raise ValueError(f"feature {i} (class {class_ids[i]}) has a non-finite vertex")
-            raise ValueError(f"feature {i} (class {class_ids[i]}): {reason}")
+            raise ValueError(f"feature {i} (class {class_ids[i]}): "
+                             f"{_reason(code, kinds[i], offsets[i + 1] - offsets[i])}")
         self.class_ids, self.kinds, self.offsets, self.vertices = (
             class_ids, kinds, offsets, vertices)
 
@@ -104,16 +105,18 @@ class FeatureTable:
         return len(self.class_ids)
 
     def __getitem__(self, index) -> FeatureTable:
-        if isinstance(index, slice) and index.step in (None, 1):
-            start, stop, _ = index.indices(len(self))
-            stop = max(start, stop)
-            lo, hi = self.offsets[start], self.offsets[stop]
-            return _table(self.class_ids[start:stop], self.kinds[start:stop],
-                          self.offsets[start : stop + 1] - lo, self.vertices[lo:hi])
-        picked = np.arange(len(self))[index]
-        counts = np.diff(self.offsets)[picked]
+        # A slice costs the features it picks, not the whole table, so
+        # build_dsm's batches add up to one pass over the features.
+        if isinstance(index, slice):
+            picked = np.arange(*index.indices(len(self)))
+        else:
+            picked = np.arange(len(self))[index]
+        if picked.ndim != 1:
+            raise TypeError("index a FeatureTable with a slice, an index array or a mask")
+        starts = self.offsets[picked]
+        counts = self.offsets[picked + 1] - starts
         offsets = _offsets(counts)
-        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[picked] - offsets[:-1], counts)
+        rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
         return _table(self.class_ids[picked], self.kinds[picked], offsets, self.vertices[rows])
 
 
@@ -131,36 +134,40 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _violation(kinds, offsets, vertices) -> tuple[int, str] | None:
-    """(index, reason) of the first feature that breaks the rule, or None.
+def _violation(kinds, offsets, vertices) -> tuple[int, int] | None:
+    """(index, reason code) of the first feature that breaks the rule, or None.
 
     The rule, in the order a feature's reason is chosen: every coordinate is
     finite; a POINT has exactly one vertex, a LINE at least two, a POLYGON at
     least three; a POLYGON's first vertex equals its last.
     """
     counts = np.diff(offsets)
-    # 3 an open ring, 2 a wrong vertex count, 1 a non-finite vertex; each
-    # overwrites the ones after it in the rule's order.
+    # Each code overwrites the ones after it in the rule's order.
     reason = np.zeros(len(kinds), dtype=np.int8)
     ring = np.flatnonzero((kinds == FeatureKind.POLYGON) & (counts >= 3))
-    reason[ring[(vertices[offsets[ring]] != vertices[offsets[ring + 1] - 1]).any(axis=1)]] = 3
+    reason[ring[(vertices[offsets[ring]] != vertices[offsets[ring + 1] - 1]).any(axis=1)]] = (
+        _OPEN_RING)
     reason[np.where(kinds == FeatureKind.POINT, counts != 1,
-                    counts < _MIN_VERTICES[kinds])] = 2
+                    counts < _MIN_VERTICES[kinds])] = _VERTEX_COUNT
     if not np.isfinite(vertices).all():
         bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-        reason[np.searchsorted(offsets, bad, side="right") - 1] = 1
+        reason[np.searchsorted(offsets, bad, side="right") - 1] = _NON_FINITE
     flagged = np.flatnonzero(reason)
     if not len(flagged):
         return None
-    i = int(flagged[0])
-    n, kind = int(counts[i]), FeatureKind(int(kinds[i]))
-    if reason[i] == 1:
-        return i, _NON_FINITE
-    if reason[i] == 3:
-        return i, "POLYGON must be closed (first vertex == last)"
+    return int(flagged[0]), int(reason[flagged[0]])
+
+
+def _reason(code: int, kind: int, n: int) -> str:
+    """The message of a feature of ``kind`` and ``n`` vertices that _violation flags with ``code``."""
+    kind = FeatureKind(int(kind))
+    if code == _NON_FINITE:
+        return "non-finite vertex"
+    if code == _OPEN_RING:
+        return "POLYGON must be closed (first vertex == last)"
     if kind is FeatureKind.POINT:
-        return i, f"POINT needs exactly 1 vertex, got {n}"
-    return i, f"{kind.name} needs at least {_MIN_VERTICES[kind]} vertices, got {n}"
+        return f"POINT needs exactly 1 vertex, got {n}"
+    return f"{kind.name} needs at least {_MIN_VERTICES[kind]} vertices, got {n}"
 
 
 def parse_features(source) -> FeatureTable:
@@ -207,7 +214,9 @@ def _parse_block(lines: list[str], first: int):
         vertices = np.array(flat, dtype=np.float64).reshape(-1, 3)
     found = _violation(kinds, offsets, vertices)
     if found is not None:
-        raise FeatureParseError(f"line {linenos[found[0]]}: {found[1]}")
+        i, code = found
+        raise FeatureParseError(
+            f"line {linenos[i]}: {_reason(code, kinds[i], offsets[i + 1] - offsets[i])}")
     if error is not None:
         raise error
     return class_ids, kinds, counts, vertices
@@ -337,9 +346,11 @@ def close_lines(features: FeatureTable, tolerance: float) -> FeatureTable:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     start, stop = features.offsets[:-1], features.offsets[1:] - 1
     lines = np.flatnonzero((features.kinds == FeatureKind.LINE) & (stop - start >= 2))
-    head, tail = features.vertices[start[lines]], features.vertices[stop[lines]]
-    with np.errstate(over="ignore"):  # an overflow gives the inf math.hypot gets
-        lines = lines[_within(tail[:, 0] - head[:, 0], tail[:, 1] - head[:, 1], tolerance)]
+    with np.errstate(over="ignore"):  # an overflow gives the inf Python's float gives
+        gap = features.vertices[stop[lines], :2] - features.vertices[start[lines], :2]
+    hypot = np.fromiter(map(math.hypot, gap[:, 0].tolist(), gap[:, 1].tolist()),
+                        np.float64, len(lines))
+    lines = lines[hypot <= tolerance]
     if not len(lines):
         return features
     kinds = features.kinds.copy()
@@ -348,22 +359,3 @@ def close_lines(features: FeatureTable, tolerance: float) -> FeatureTable:
     vertices[stop[lines]] = vertices[start[lines]]
     return _table(features.class_ids, kinds, features.offsets, vertices)
 
-
-def _within(dx: np.ndarray, dy: np.ndarray, tolerance: float) -> np.ndarray:
-    """``math.hypot(dx, dy) <= tolerance`` of each pair, without a call per pair.
-
-    Where the larger of |dx|, |dy| lies in (1e-150, 1e150) neither square
-    overflows or loses precision, so sqrt(dx*dx + dy*dy) is within a few ulps
-    of math.hypot, and decides every pair more than 1e-12 relative away from
-    the tolerance.  math.hypot itself decides the rest.  Equal endpoints are
-    within any tolerance.
-    """
-    size = np.maximum(np.abs(dx), np.abs(dy))
-    gap = np.sqrt(dx * dx + dy * dy)
-    within = gap <= tolerance
-    clear = (size == 0) | ((size > 1e-150) & (size < 1e150)
-                           & (np.abs(gap - tolerance) > 1e-12 * tolerance))
-    near = np.flatnonzero(~clear)
-    within[near] = [math.hypot(a, b) <= tolerance
-                    for a, b in zip(dx[near].tolist(), dy[near].tolist())]
-    return within

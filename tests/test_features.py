@@ -191,12 +191,19 @@ def test_indexing_a_table_picks_features_with_their_vertices():
     part = table[1:3]
     assert len(part) == 2 and part.class_ids.tolist() == [2, 3]
     assert part.offsets.tolist() == [0, 2, 6]
-    assert np.shares_memory(part.vertices, table.vertices)
     picked = table[np.array([3, 1])]
     assert picked.class_ids.tolist() == [4, 2] and picked.offsets.tolist() == [0, 1, 3]
     np.testing.assert_array_equal(picked.vertices, [(9, 9, 9), (1, 1, 1), (2, 2, 2)])
     assert columns(table[table.class_ids > 2]) == columns(table[2:])
     assert len(table[3:1]) == 0 and table[3:1].offsets.tolist() == [0]
+    assert columns(table[::-2]) == columns(table[np.array([3, 1])])
+
+
+@pytest.mark.parametrize("index", [0, -1, np.int64(2), np.array([[0, 1]])])
+def test_a_table_refuses_an_index_that_picks_no_list_of_features(index):
+    table = feature_table((1, P, [(0, 0, 0)]), (2, P, [(1, 1, 1)]), (3, P, [(2, 2, 2)]))
+    with pytest.raises(TypeError, match="index a FeatureTable with a slice"):
+        table[index]
 
 
 # --------------------------------------------------------------------------
