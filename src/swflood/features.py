@@ -159,10 +159,12 @@ def _violation(kinds, offsets, vertices) -> tuple[int, int] | None:
 
 
 def _reason(code: int, kind: int, n: int) -> str:
-    """The message of a feature of ``kind`` and ``n`` vertices that _violation flags with ``code``."""
+    """The message of a feature of ``kind`` and ``n`` vertices that _violation flags with ``code``.
+
+    Only count and closure codes reach it: the constructor words a non-finite
+    vertex itself, and the parser refuses one before the rule runs.
+    """
     kind = FeatureKind(int(kind))
-    if code == _NON_FINITE:
-        return "non-finite vertex"
     if code == _OPEN_RING:
         return "POLYGON must be closed (first vertex == last)"
     if kind is FeatureKind.POINT:

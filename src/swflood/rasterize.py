@@ -4,7 +4,6 @@ The selected features are rasterized in batches of _BATCH_FEATURES
 consecutive features, each batch a slice of the feature table and
 rasterized in whole-array numpy passes:
 
-- A point contributes the cell that holds it.
 - Every segment of every LINE and POLYGON is split where it crosses a
   gridline, and each sub-interval lies in the one cell found from its
   midpoint, with z interpolated there: a supercover walk (every cell the
@@ -13,26 +12,27 @@ rasterized in whole-array numpy passes:
   one sort by (segment, t) that drops equal neighbours.  Where consecutive
   intervals of a segment meet only at a corner, both cells sharing the
   corner are added with z at the crossing.  A zero-length segment gives its
-  own cell and z.
+  own cell and z, and a POINT is the zero-length segment from its vertex to
+  itself.
 - A polygon also fills the cells whose centres lie inside it by the even-odd
   rule on cell-centre scanlines, at its maximum vertex z.  Each edge is tested
   only on the rows its own y range spans, so the work scales with the
   crossings, not with bounding box times edges.
 
-Extrusion raises the terrain by the cellwise maximum of all contributed
-feature heights, one batch after another, so a build holds the DSM and one
-batch's contributions whatever the number of features.
+A batch's contributions are an unordered set of (cell, z) stamps.  Extrusion
+raises the terrain by the cellwise maximum of all stamped heights, one batch
+after another, so a build holds the DSM and one batch's contributions
+whatever the number of features, and the DSM does not depend on the order of
+the features or the batch size.
 
-The result is bitwise that of walking one feature, segment and cell at a time
-in Python.  Each float expression keeps that walk's form and order:
-``(origin + k*cs - p0)/(p1 - p0)``, ``0.5*(ta + tb)``, ``x0 + tm*(x1 - x0)``,
-``floor((x - xll)/cs)``, ``px + (yc - py)/(qy - py)*(qx - px)`` and
-``ceil((xa - xll)/cs - 0.5)``.  numpy's float64 ``+ - * / floor ceil`` are the
-IEEE operations Python floats use, so every cell index and z has the same
-bits, and the contributions come out in the walk's order.  Divisions run only
-on the lanes that are kept, so no discarded lane can warn.  Batches keep that
-order too, and raising them one after another gives the bits of raising all
-contributions at once (see _raise).
+The contributions are, as a multiset, bitwise those of walking one feature,
+segment and cell at a time in Python.  Each float expression keeps that
+walk's form: ``(origin + k*cs - p0)/(p1 - p0)``, ``0.5*(ta + tb)``,
+``x0 + tm*(x1 - x0)``, ``floor((x - xll)/cs)``,
+``px + (yc - py)/(qy - py)*(qx - px)`` and ``ceil((xa - xll)/cs - 0.5)``.
+numpy's float64 ``+ - * / floor ceil`` are the IEEE operations Python floats
+use, so every cell index and z has the same bits.  Divisions run only on the
+lanes that are kept, so no discarded lane can warn.
 """
 
 from __future__ import annotations
@@ -90,11 +90,7 @@ def _crossings(p0, p1, origin: float, cellsize: float, ncells: int):
 
 
 def _supercover(grid: RasterGrid, x0, y0, z0, x1, y1, z1):
-    """(segment, row, col, z) of the supercover cells of segments (x0, y0) -> (x1, y1).
-
-    Items come by segment, then along it, each corner bridge before the cell
-    it leads to.
-    """
+    """(row, col, z) of the supercover cells of segments (x0, y0) -> (x1, y1)."""
     n = len(x0)
     sx, tx = _crossings(x0, x1, grid.xll, grid.cellsize, grid.ncols)
     sy, ty = _crossings(y0, y1, grid.yll, grid.cellsize, grid.nrows)
@@ -126,24 +122,19 @@ def _supercover(grid: RasterGrid, x0, y0, z0, x1, y1, z1):
     corner = np.zeros(len(s), dtype=bool)
     corner[1:] = ((s[1:] == s[:-1]) & inside[1:] & inside[:-1]
                   & (row[1:] != row[:-1]) & (col[1:] != col[:-1]))
-    c = np.flatnonzero(inside)
     b = np.flatnonzero(corner)
     zc = az[b] + ta[b] * dz[b]
-    # Interval i emits its two bridges (slots 3i, 3i+1), then its cell (3i+2).
-    order = np.argsort(np.concatenate([3 * c + 2, 3 * b, 3 * b + 1]), kind="stable")
     return (
-        np.concatenate([s[c], s[b], s[b]])[order],
-        np.concatenate([row[c], row[b - 1], row[b]])[order],
-        np.concatenate([col[c], col[b], col[b - 1]])[order],
-        np.concatenate([z[c], zc, zc])[order],
+        np.concatenate([row[inside], row[b - 1], row[b]]),
+        np.concatenate([col[inside], col[b], col[b - 1]]),
+        np.concatenate([z[inside], zc, zc]),
     )
 
 
 def _fill(grid: RasterGrid, ring, px, py, qx, qy):
     """(ring, row, col) of the cells whose centres lie inside rings by the even-odd rule.
 
-    Edge e runs from (px, py) to (qx, qy) of ring[e].  Items come by ring,
-    then by row from the north, then west to east.
+    Edge e runs from (px, py) to (qx, qy) of ring[e].
     """
     # Half-open in y, so a vertex on a scanline counts once and a horizontal
     # edge never.  Each edge spans its rows with one row of slack each way.
@@ -182,66 +173,47 @@ def _fill(grid: RasterGrid, ring, px, py, qx, qy):
 def _contributions(features: FeatureTable, grid: RasterGrid):
     """(rows, cols, z) of the cell contributions of all features on the grid.
 
-    Cells outside the grid are dropped.  Contributions come feature by
-    feature; within a feature, its segments' supercover cells come first,
-    then its polygon fill.
+    Cells outside the grid are dropped.
     """
-    kinds, offsets, verts = features.kinds, features.offsets, features.vertices
-    points = np.flatnonzero(kinds == FeatureKind.POINT)
-    pxyz = verts[offsets[points]]
-    inside, prow, pcol = _cells(grid, pxyz[:, 0], pxyz[:, 1])
-
-    # A segment starts at every vertex but the last of its feature, so a
-    # POINT starts none.
-    last = np.zeros(len(verts), dtype=bool)
-    last[offsets[1:] - 1] = True
-    a = np.flatnonzero(~last)  # segment j runs from vertex a[j] to a[j] + 1
-    owner = np.repeat(np.arange(len(kinds)), np.diff(offsets) - 1)
-    v0, v1 = verts[a], verts[a + 1]
-    s, srow, scol, sz = _supercover(grid, v0[:, 0], v0[:, 1], v0[:, 2],
-                                    v1[:, 0], v1[:, 1], v1[:, 2])
+    offsets, verts = features.offsets, features.vertices
+    # A segment starts at every vertex but the last of its feature; a POINT's
+    # one vertex is a zero-length segment to itself.
+    count = np.diff(offsets)
+    owner, rank = _ragged(np.maximum(count - 1, 1))
+    a = offsets[owner] + rank
+    v0, v1 = verts[a], verts[a + (count[owner] > 1)]
+    srow, scol, sz = _supercover(grid, v0[:, 0], v0[:, 1], v0[:, 2],
+                                 v1[:, 0], v1[:, 1], v1[:, 2])
 
     # Every feature has a vertex, so each reduceat range is its own vertices.
-    z_fill = np.maximum.reduceat(verts[:, 2], offsets[:-1]) if len(kinds) else np.zeros(0)
-    edge = np.flatnonzero(kinds[owner] == FeatureKind.POLYGON)
+    z_fill = np.maximum.reduceat(verts[:, 2], offsets[:-1]) if len(count) else np.zeros(0)
+    edge = np.flatnonzero(features.kinds[owner] == FeatureKind.POLYGON)
     ring, frow, fcol = _fill(grid, owner[edge], v0[edge, 0], v0[edge, 1],
                              v1[edge, 0], v1[edge, 1])
 
-    feature = np.concatenate([points[inside], owner[s], ring])
-    order = np.argsort(feature, kind="stable")
-    rows = np.concatenate([prow[inside], srow, frow])[order].astype(np.intp)
-    cols = np.concatenate([pcol[inside], scol, fcol])[order].astype(np.intp)
-    z = np.concatenate([pxyz[inside, 2], sz, z_fill[ring]])[order]
-    return rows, cols, z
+    rows = np.concatenate([srow, frow]).astype(np.intp)
+    cols = np.concatenate([scol, fcol]).astype(np.intp)
+    return rows, cols, np.concatenate([sz, z_fill[ring]])
 
 
 def _raise(values: np.ndarray, terrain: np.ndarray, nodata: float, rows, cols, z) -> int:
     """Raise values[rows, cols] to z in place where z is higher; return the skips.
 
-    The result is that of ``if z > value: value = z`` over the contributions
-    in order: never lower than before and, up to the sign of a zero,
-    independent of their order.  Contributions on cells where the terrain
-    holds nodata are skipped and counted.
+    Each cell becomes the maximum of its value and the contributions above it,
+    a zero stamped as +0.0, so the result is independent of the contributions'
+    order and never lower than before.  A contribution equal to the value
+    leaves its bits.  Contributions on cells where the terrain holds nodata
+    are skipped and counted.
 
     Calls on consecutive batches of contributions give the bits of one call on
     all of them.  Nodata is tested on the terrain, which no call changes, so a
     cell an earlier batch raised to exactly the nodata value still counts as
-    data.  The signed-zero rule "the first contribution wins" holds across
-    batches: a zero only enters where it is above the value before its own
-    batch, and a value an earlier zero set is a zero, which no later zero is
-    above.
+    data.
     """
     on_data = terrain[rows, cols] != nodata
     up = on_data & (z > values[rows, cols])
-    rows, cols, z = rows[up], cols[up], z[up]
-    np.maximum.at(values, (rows, cols), z)
-    # np.maximum may keep either of a tied +0.0 and -0.0; the first one wins.
-    zero = np.flatnonzero(z == 0.0)
-    if len(zero):
-        cell = np.ravel_multi_index((rows[zero], cols[zero]), values.shape, mode="wrap")
-        first = zero[np.unique(cell, return_index=True)[1]]
-        first = first[values[rows[first], cols[first]] == 0.0]
-        values[rows[first], cols[first]] = z[first]
+    # -0.0 + 0.0 is +0.0, so np.maximum never meets a tie of signed zeros.
+    np.maximum.at(values, (rows[up], cols[up]), z[up] + 0.0)
     return len(on_data) - int(np.count_nonzero(on_data))
 
 
@@ -253,8 +225,8 @@ def build_dsm(
 ) -> RasterGrid:
     """Select classes, close nearly-closed lines, rasterize and extrude.
 
-    The selected features are rasterized and raised in input order, a batch
-    of _BATCH_FEATURES at a time, onto one copy of the DTM: peak memory is the
+    The selected features are rasterized and raised a batch of
+    _BATCH_FEATURES at a time onto one copy of the DTM: peak memory is the
     DSM plus one batch, whatever the number of features.  One warning names
     the selected class ids that no feature has.
     """

@@ -101,9 +101,9 @@ def wet_dam(n=200):
 def write_valley_scenario(d, peak):
     """The valley study: a 5 m3/s river spun up for 60 s, then a wave peaking at ``peak``."""
     grid = RasterGrid(200, 150, 0.0, 0.0, 2.0, values=valley_z())
-    (d / "valley.asc").write_text(write_ascii_grid(grid))
-    (d / "riverbed.txt").write_text("".join(f"{r} 0\n" for r in range(72, 79)))
-    (d / "hydro.txt").write_text(f"0 5\n60 {peak}\n120 5\n")
+    (d / "valley.asc").write_text(write_ascii_grid(grid), encoding="utf-8")
+    (d / "riverbed.txt").write_text("".join(f"{r} 0\n" for r in range(72, 79)), encoding="utf-8")
+    (d / "hydro.txt").write_text(f"0 5\n60 {peak}\n120 5\n", encoding="utf-8")
     cfg = d / f"scenario_{peak}.cfg"
     cfg.write_text(
         f"""\
@@ -118,7 +118,8 @@ boundary.west = discharge
 boundary.east = free_outflow
 riverbed_mask = riverbed.txt
 hydrograph = hydro.txt
-"""
+""",
+        encoding="utf-8",
     )
     return cfg
 
@@ -128,9 +129,9 @@ def write_channel_scenario(d, extra="", outdir="out"):
     col = np.arange(10, dtype=np.float64)
     z = np.tile(0.02 * (9.0 - col), (8, 1))
     grid = RasterGrid(10, 8, 0.0, 0.0, 1.0, values=z)
-    (d / "terrain.asc").write_text(write_ascii_grid(grid))
-    (d / "riverbed.txt").write_text("3 0\n4 0\n")
-    (d / "hydro.txt").write_text("0 1.0\n5 2.0\n")
+    (d / "terrain.asc").write_text(write_ascii_grid(grid), encoding="utf-8")
+    (d / "riverbed.txt").write_text("3 0\n4 0\n", encoding="utf-8")
+    (d / "hydro.txt").write_text("0 1.0\n5 2.0\n", encoding="utf-8")
     cfg = d / "scenario.cfg"
     cfg.write_text(f"""\
 dsm = terrain.asc
@@ -143,13 +144,13 @@ boundary.west = discharge
 boundary.east = free_outflow
 riverbed_mask = riverbed.txt
 hydrograph = hydro.txt
-{extra}""")
+{extra}""", encoding="utf-8")
     return cfg
 
 
 def read_summary(outdir):
     """The ``key = value`` lines of ``outdir/summary.txt`` as a dict of strings."""
-    text = (outdir / "summary.txt").read_text()
+    text = (outdir / "summary.txt").read_text(encoding="utf-8")
     return dict(line.split(" = ", 1) for line in text.strip().splitlines())
 
 

@@ -281,7 +281,7 @@ def test_built_dsm_matches_the_golden_raster_bitwise():
         "20;POLYGON;5.25 5.25 5,9.75 5.25 5,9.75 9.75 5,5.25 9.75 5,5.25 5.25 5\n"
     )
     dsm = build_dsm(flat_dtm(), parse_features(io.StringIO(text)), {10, 20})
-    with open(GOLDEN_DSM) as f:
+    with open(GOLDEN_DSM, encoding="utf-8") as f:
         golden = f.read()
     assert write_ascii_grid(dsm) == golden
     # sanity on the pinned content itself

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swflood.analytic import (
     error_norms,
@@ -193,6 +195,34 @@ def test_sampler_pure_shock_advection():
     f_h, f_q = exact_riemann_flux(1.0, 9.0, 0.5, 9.0, G)
     assert (f_h, f_q) == physical_flux_point(h, u, G)
     assert h == 1.0 and u == 9.0
+
+
+@st.composite
+def riemann_problems(draw):
+    """(h_l, u_l, h_r, u_r, g) with either side possibly dry; half of them
+    recede faster than 2(c_l + c_r), so a vacuum opens between the sides."""
+    g = draw(st.sampled_from([G, 1.0]))
+    depths = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    speeds = st.floats(-10.0, 10.0)
+    h_l, u_l, h_r, u_r = draw(depths), draw(speeds), draw(depths), draw(speeds)
+    if draw(st.booleans()):
+        c_l, c_r = math.sqrt(g * h_l), math.sqrt(g * h_r)
+        u_r = u_l + 2.0 * (c_l + c_r) + draw(st.floats(0.0, 5.0))
+    return h_l, u_l, h_r, u_r, g
+
+
+@settings(max_examples=500, deadline=None)
+@given(riemann_problems(), st.floats(-40.0, 40.0))
+def test_sampler_is_mirror_symmetric(problem, xi):
+    # Reflecting x swaps the sides and negates every velocity and xi.
+    h_l, u_l, h_r, u_r, g = problem
+    h, u = exact_riemann_sample(h_l, u_l, h_r, u_r, g, xi)
+    h_m, u_m = exact_riemann_sample(h_r, -u_r, h_l, -u_l, g, -xi)
+    # An absolute floor at the problem's scale for values that should be 0.
+    depth = max(h_l, h_r)
+    speed = max(abs(u_l), abs(u_r), math.sqrt(g * depth))
+    assert math.isclose(h, h_m, rel_tol=1e-12, abs_tol=1e-12 * depth)
+    assert math.isclose(u, -u_m, rel_tol=1e-12, abs_tol=1e-12 * speed)
 
 
 # --------------------------------------------------------------------------

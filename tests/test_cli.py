@@ -135,10 +135,10 @@ def test_build_dsm_workflow_round_trip(tmp_path):
     from swflood.rasterize import build_dsm
 
     dtm = RasterGrid(6, 6, 0.0, 0.0, 1.0, values=np.zeros((6, 6)))
-    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm))
+    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm), encoding="utf-8")
     feature_text = "10;LINE;0.5 2.5 2,4.5 2.5 2\n20;POINT;1.5 4.5 7\n"
-    (tmp_path / "features.txt").write_text(feature_text)
-    (tmp_path / "classes.txt").write_text("10\n20\n")
+    (tmp_path / "features.txt").write_text(feature_text, encoding="utf-8")
+    (tmp_path / "classes.txt").write_text("10\n20\n", encoding="utf-8")
     out = tmp_path / "dsm.asc"
     assert main(["build-dsm", "--dtm", str(tmp_path / "dtm.asc"),
                  "--features", str(tmp_path / "features.txt"),
@@ -154,9 +154,9 @@ def test_build_dsm_workflow_round_trip(tmp_path):
 
 def test_build_dsm_bad_features_exits_one(tmp_path):
     dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.zeros((4, 4)))
-    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm))
-    (tmp_path / "features.txt").write_text("10;BLOB;0 0 0\n")
-    (tmp_path / "classes.txt").write_text("10\n")
+    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm), encoding="utf-8")
+    (tmp_path / "features.txt").write_text("10;BLOB;0 0 0\n", encoding="utf-8")
+    (tmp_path / "classes.txt").write_text("10\n", encoding="utf-8")
     assert main(["build-dsm", "--dtm", str(tmp_path / "dtm.asc"),
                  "--features", str(tmp_path / "features.txt"),
                  "--classes", str(tmp_path / "classes.txt"),
@@ -169,16 +169,16 @@ def run_cli_process(args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, "-m", "swflood.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, encoding="utf-8", env=env, timeout=120)
 
 
 @pytest.mark.parametrize("bad", ["inf", "nan", "-3"])
 def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad):
     dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.zeros((4, 4)))
     text = write_ascii_grid(dtm).replace("ncols 4\n", f"ncols {bad}\n")
-    (tmp_path / "dtm.asc").write_text(text)
-    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
-    (tmp_path / "classes.txt").write_text("10\n")
+    (tmp_path / "dtm.asc").write_text(text, encoding="utf-8")
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n", encoding="utf-8")
+    (tmp_path / "classes.txt").write_text("10\n", encoding="utf-8")
     proc = run_cli_process(["build-dsm",
                             "--dtm", str(tmp_path / "dtm.asc"),
                             "--features", str(tmp_path / "features.txt"),
@@ -198,11 +198,12 @@ def test_build_dsm_on_a_bad_dtm_header_exits_one_without_traceback(tmp_path, bad
 def test_build_dsm_on_a_non_finite_dtm_georeference_exits_one(tmp_path, old, new, message):
     argv = write_build_inputs(tmp_path)
     # A nearly closed LINE becomes a polygon, whose fill reads the origin.
-    (tmp_path / "features.txt").write_text("10;LINE;0.5 0.5 2,3.5 0.5 2,3.5 3.5 2,0.55 0.5 2\n")
+    (tmp_path / "features.txt").write_text(
+        "10;LINE;0.5 0.5 2,3.5 0.5 2,3.5 3.5 2,0.55 0.5 2\n", encoding="utf-8")
     path = tmp_path / "dtm.asc"
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     assert old + "\n" in text
-    path.write_text(text.replace(old + "\n", new + "\n"))
+    path.write_text(text.replace(old + "\n", new + "\n"), encoding="utf-8")
     proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert f"{path}: {message}" in proc.stderr
@@ -219,7 +220,7 @@ def test_run_on_a_non_finite_number_exits_one_without_traceback(tmp_path, file, 
                                                                  new, message):
     cfg = write_channel_scenario(tmp_path)
     path = tmp_path / file
-    path.write_text(path.read_text().replace(old, new))
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
     proc = run_cli_process(["run", "--config", str(cfg)])
     assert proc.returncode == 1
     assert message in proc.stderr
@@ -236,7 +237,7 @@ def test_build_dsm_on_a_malformed_input_exits_one_without_traceback(tmp_path, fi
                                                                      new, message):
     argv = write_build_inputs(tmp_path)
     path = tmp_path / file
-    path.write_text(path.read_text().replace(old, new))
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
     proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert f"{path}: {message}" in proc.stderr
@@ -248,7 +249,7 @@ def test_build_dsm_reads_an_empty_selection_before_the_other_inputs(tmp_path, ca
     # The feature file does not exist: the empty selection fails first.
     argv = write_build_inputs(tmp_path)
     (tmp_path / "features.txt").unlink()
-    (tmp_path / "classes.txt").write_text("# nothing selected yet\n")
+    (tmp_path / "classes.txt").write_text("# nothing selected yet\n", encoding="utf-8")
     assert main(argv) == 1
     assert f"{tmp_path / 'classes.txt'}: class selection is empty" in caplog.text
     assert "features.txt" not in caplog.text
@@ -260,8 +261,9 @@ BOM = "\ufeff".encode()
 
 def test_inputs_that_start_with_a_byte_order_mark_read_as_without_one(tmp_path):
     argv = write_build_inputs(tmp_path)
-    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n20;LINE;0 0 1,3 3 2\n")
-    (tmp_path / "classes.txt").write_text("10\n20\n")
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n20;LINE;0 0 1,3 3 2\n",
+                                           encoding="utf-8")
+    (tmp_path / "classes.txt").write_text("10\n20\n", encoding="utf-8")
     write_channel_scenario(tmp_path)
 
     def feature_columns(path):
@@ -291,9 +293,9 @@ def test_inputs_that_start_with_a_byte_order_mark_read_as_without_one(tmp_path):
 def write_build_inputs(tmp_path):
     """A 4x4 DTM, one POINT feature and its class; returns the build-dsm argv."""
     dtm = RasterGrid(4, 4, 0.0, 0.0, 1.0, values=np.arange(16.0).reshape(4, 4))
-    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm))
-    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n")
-    (tmp_path / "classes.txt").write_text("10\n")
+    (tmp_path / "dtm.asc").write_text(write_ascii_grid(dtm), encoding="utf-8")
+    (tmp_path / "features.txt").write_text("10;POINT;1.5 1.5 7\n", encoding="utf-8")
+    (tmp_path / "classes.txt").write_text("10\n", encoding="utf-8")
     return ["build-dsm", "--dtm", str(tmp_path / "dtm.asc"),
             "--features", str(tmp_path / "features.txt"),
             "--classes", str(tmp_path / "classes.txt"),
@@ -310,7 +312,7 @@ def test_run_on_a_malformed_input_exits_one_without_traceback(tmp_path, file, ol
                                                               message):
     cfg = write_channel_scenario(tmp_path)
     path = tmp_path / file
-    path.write_text(path.read_text().replace(old, new))
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
     proc = run_cli_process(["run", "--config", str(cfg)])
     assert proc.returncode == 1
     assert f"{path}: {message}" in proc.stderr
@@ -342,7 +344,7 @@ def test_validate_workflow_stdout_and_file(tmp_path, capsys):
     report = tmp_path / "norms.csv"
     assert main(["validate", "--case", "lake-at-rest", "--n", "16",
                  "--report", str(report)]) == 0
-    assert report.read_text() == out
+    assert report.read_text(encoding="utf-8") == out
 
 
 def test_validate_report_write_that_fails_keeps_the_previous_report(tmp_path, monkeypatch):

@@ -35,9 +35,9 @@ def feat(kind, *xyz, class_id=1):
 
 
 def contributions(feature, grid):
-    """[((row, col), z)] of one feature, in the order _contributions gives them."""
+    """[((row, col), z)] of one feature, sorted: the contributions are a multiset."""
     rows, cols, z = _contributions(feature_table(feature), grid)
-    return [((r, c), v) for r, c, v in zip(rows.tolist(), cols.tolist(), z.tolist())]
+    return sorted(((r, c), v) for r, c, v in zip(rows.tolist(), cols.tolist(), z.tolist()))
 
 
 def raised(dtm, cells):
@@ -77,12 +77,12 @@ def test_diagonal_line_walks_without_gaps():
     # (0.5,0.5)->(2.5,1.5) crosses x=1 (t=.25), x=2 (t=.75), y=1 (t=.5);
     # sub-interval midpoints give the 4-connected chain below with z = 4t.
     out = contributions(feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (2.5, 1.5, 4.0)), GRID5)
-    assert out == [
+    assert out == sorted([
         ((4, 0), 0.5),
         ((4, 1), 1.5),
         ((3, 1), 2.5),
         ((3, 2), 3.5),
-    ]
+    ])
 
 
 def test_exact_corner_crossing_bridges_both_cells():
@@ -256,10 +256,11 @@ def test_build_dsm_rejects_empty_selection():
 # --------------------------------------------------------------------------
 #
 # The functions below are the per-feature, per-segment, per-cell Python
-# implementation that the array core replaced, kept verbatim as the
-# reference.  Every case must give the same contributions in the same order
-# with the same bits, and build_dsm the same DSM bytes and the same count of
-# contributions skipped on nodata terrain.
+# implementation that the array core replaced, kept as the reference; only
+# ref_extrude changed, to stamp a zero as +0.0.  Every case must give the
+# same contributions as a multiset, every cell and z with the same bits, and
+# build_dsm the same DSM bytes and the same count of contributions skipped on
+# nodata terrain.
 
 ref_logger = logging.getLogger("reference.rasterize")
 
@@ -367,7 +368,7 @@ def ref_extrude(dtm, cells):
             skipped += 1
             continue
         if z > dsm.values[row, col]:
-            dsm.values[row, col] = z
+            dsm.values[row, col] = z + 0.0  # -0.0 + 0.0 is +0.0
     if skipped:
         ref_logger.warning("skipped %d feature cell(s) on nodata terrain", skipped)
     return dsm
@@ -389,8 +390,8 @@ NODATA = -9999.0
 
 
 def exact(contribs):
-    """Contributions with z as its exact bits, signed zeros included."""
-    return [((int(r), int(c)), float(z).hex()) for (r, c), z in contribs]
+    """Sorted contributions with z as its exact bits, signed zeros included."""
+    return sorted(((int(r), int(c)), float(z).hex()) for (r, c), z in contribs)
 
 
 class Warnings(logging.Handler):
@@ -432,28 +433,36 @@ def axis_coords(origin, cellsize, n):
 
 
 heights = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-50.0, 50.0))
+terrains = st.one_of(st.sampled_from([NODATA, 0.0, -0.0]), st.floats(-60.0, 60.0))
 
 
 @st.composite
-def grids(draw):
+def grids(draw, terrain=terrains):
     nrows = draw(st.integers(1, 9))
     ncols = draw(st.integers(1, 9))
     cellsize = draw(st.sampled_from([1.0, 0.5, 0.3, 2.5]))
     xll = draw(st.sampled_from([0.0, -3.7, 12.25]))
     yll = draw(st.sampled_from([0.0, 0.1, -101.5]))
-    terrain = st.one_of(st.sampled_from([NODATA, 0.0, -0.0]), st.floats(-60.0, 60.0))
     values = draw(hnp.arrays(np.float64, (nrows, ncols), elements=terrain))
     return RasterGrid(ncols, nrows, xll, yll, cellsize, NODATA, values)
 
 
+def lattices(grid):
+    """(xs, ys): a few x and y values around the grid for vertices to share."""
+    return st.tuples(
+        st.lists(axis_coords(grid.xll, grid.cellsize, grid.ncols), min_size=1, max_size=4),
+        st.lists(axis_coords(grid.yll, grid.cellsize, grid.nrows), min_size=1, max_size=4),
+    )
+
+
 @st.composite
-def features_on(draw, grid):
+def features_on(draw, grid, z=heights, lattice=None):
     """One feature whose vertices come from a few shared x and y values, so
     repeated vertices, horizontal and vertical edges and exact gridline and
-    corner crossings are common."""
-    xs = draw(st.lists(axis_coords(grid.xll, grid.cellsize, grid.ncols), min_size=1, max_size=4))
-    ys = draw(st.lists(axis_coords(grid.yll, grid.cellsize, grid.nrows), min_size=1, max_size=4))
-    vertex = st.tuples(st.sampled_from(xs), st.sampled_from(ys), heights)
+    corner crossings are common.  Features drawn on one ``lattice`` share
+    their x and y values, and so their cells, too."""
+    xs, ys = lattice or draw(lattices(grid))
+    vertex = st.tuples(st.sampled_from(xs), st.sampled_from(ys), z)
     kind = draw(st.sampled_from(["POINT", "LINE", "POLYGON", "RING"]))
     class_id = draw(st.sampled_from([1, 1, 2]))
     if kind == "POINT":
@@ -486,6 +495,23 @@ def test_build_dsm_matches_reference_bitwise(data):
     (dsm, warned), (expected, ref_warned) = both_builds(dtm, features, {1})
     assert dsm.values.tobytes() == expected.values.tobytes()
     assert warned == ref_warned
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dsm_is_independent_of_feature_order_and_batch_size(data):
+    # Zero and negative heights on shared cells over terrain of signed zeros
+    # and negative values, so that zeros of both signs tie on raised cells.
+    # Reversing the features swaps every pair of them.
+    dtm = data.draw(grids(st.sampled_from([NODATA, 0.0, -0.0, -1.0, -0.25])))
+    z, lattice = st.sampled_from([0.0, -0.0, -0.5]), data.draw(lattices(dtm))
+    features = data.draw(st.lists(features_on(dtm, z, lattice), min_size=1, max_size=8))
+    expected = build_dsm(dtm, feature_table(*features), {1, 2}).values.tobytes()
+    for order in (features[::-1], data.draw(st.permutations(features))):
+        for batch in (1, 3, 512):
+            with patch.object(rasterize, "_BATCH_FEATURES", batch):
+                dsm = build_dsm(dtm, feature_table(*order), {1, 2})
+            assert dsm.values.tobytes() == expected, batch
 
 
 @pytest.mark.parametrize("verts", [
@@ -535,23 +561,29 @@ def test_nodata_cells_are_those_of_the_terrain():
     assert skipped == 0
 
 
-def test_signed_zero_ties_keep_the_first_contribution():
-    # Both zeros raise the -1 cell; the earlier contribution decides the sign.
+POSITIVE_ZERO = np.zeros(1).tobytes()
+
+
+def test_signed_zero_ties_stamp_positive_zero():
+    # Zeros of either sign, in either order, raise the -1 cell to +0.
     dtm = make_dtm([[-1.0]])
-    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
-        cells = [((0, 0), first), ((0, 0), second)]
-        assert raised(dtm, cells)[0].tobytes() == ref_extrude(dtm, cells).values.tobytes()
+    for cells in ([((0, 0), -0.0), ((0, 0), 0.0)], [((0, 0), 0.0), ((0, 0), -0.0)],
+                  [((0, 0), -0.0)]):
+        assert raised(dtm, cells)[0].tobytes() == POSITIVE_ZERO
+        assert ref_extrude(dtm, cells).values.tobytes() == POSITIVE_ZERO
     # A contribution equal to the terrain leaves the terrain's zero.
     dtm = make_dtm([[0.0, -0.0]])
     cells = [((0, 0), -0.0), ((0, 1), 0.0)]
     assert raised(dtm, cells)[0].tobytes() == dtm.values.tobytes()
-    # Across features, the earlier feature decides, whatever its kind.
+    # Across features, whatever their kinds and order: a wall at 0 and a
+    # post at -0 share a cell.
     dtm = make_dtm(np.full((2, 2), -1.0))
     wall = feat(FeatureKind.LINE, (0.5, 0.5, 0.0), (1.5, 0.5, 0.0))
     post = feat(FeatureKind.POINT, (0.5, 0.5, -0.0))
     for features in ([wall, post], [post, wall]):
         (dsm, _), (expected, _) = both_builds(dtm, features, {1})
         assert dsm.values.tobytes() == expected.values.tobytes()
+        assert dsm.values[1].tobytes() == 2 * POSITIVE_ZERO
 
 
 def seeded_town(seed, n=200, count=2000):
@@ -617,12 +649,12 @@ def test_a_cell_raised_to_nodata_by_one_batch_is_raised_by_the_next():
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
-def test_signed_zero_ties_across_batches_keep_the_first(first, second):
+def test_signed_zero_ties_across_batches_stamp_positive_zero(first, second):
     dtm = make_dtm([[-1.0]])
     posts = [feat(FeatureKind.POINT, (0.5, 0.5, z)) for z in (first, second)]
     with patch.object(rasterize, "_BATCH_FEATURES", 1):
         dsm = build_dsm(dtm, feature_table(*posts), {1})
-    assert dsm.values.tobytes() == np.array([[first]]).tobytes()
+    assert dsm.values.tobytes() == POSITIVE_ZERO
 
 
 def test_non_finite_vertices_are_an_error():
@@ -667,7 +699,7 @@ BATCHED = [
     test_seeded_town_dsm_bytes_are_pinned,
     test_extrude_skips_nodata_cells_with_warning,
     test_nodata_terrain_skips_as_reference_does,
-    test_signed_zero_ties_keep_the_first_contribution,
+    test_signed_zero_ties_stamp_positive_zero,
     test_non_finite_vertices_are_an_error,
 ]
 

@@ -399,15 +399,17 @@ def small_valley(tmp_path, seed=5):
     z[10:14, :] -= 0.2
     z += np.round(rng.uniform(-0.005, 0.005, size=z.shape), 4)
     grid = RasterGrid(32, 24, 0.0, 0.0, 2.0, values=z)
-    (tmp_path / "valley.asc").write_text(write_ascii_grid(grid, precision=17))
-    (tmp_path / "riverbed.txt").write_text("".join(f"{r} 0\n" for r in range(10, 14)))
-    (tmp_path / "hydro.txt").write_text("0 0.5\n10 2\n20 0.5\n")
+    (tmp_path / "valley.asc").write_text(write_ascii_grid(grid, precision=17), encoding="utf-8")
+    (tmp_path / "riverbed.txt").write_text("".join(f"{r} 0\n" for r in range(10, 14)),
+                                           encoding="utf-8")
+    (tmp_path / "hydro.txt").write_text("0 0.5\n10 2\n20 0.5\n", encoding="utf-8")
     cfg = tmp_path / "valley.cfg"
     cfg.write_text(
         "dsm = valley.asc\noutput_dir = out\ntotal_duration = 30\n"
         "snapshot_interval = 15\nspinup_duration = 5\nspinup_q = 0.5\n"
         "manning_n = 0.03\nboundary.west = discharge\nboundary.east = free_outflow\n"
-        "riverbed_mask = riverbed.txt\nhydrograph = hydro.txt\n"
+        "riverbed_mask = riverbed.txt\nhydrograph = hydro.txt\n",
+        encoding="utf-8",
     )
     return cfg
 

@@ -86,7 +86,7 @@ def test_read_hydrograph_comments_and_errors(tmp_path):
     np.testing.assert_array_equal(hg.flows, [1.0, 3.0])
     assert read_hydrograph("0 1\n5 2\n").q_at(5.0) == 2.0
     path = tmp_path / "hydro.txt"
-    path.write_text("0 1\n5 2\n")
+    path.write_text("0 1\n5 2\n", encoding="utf-8")
     assert read_input(path, read_hydrograph).q_at(5.0) == 2.0
     with pytest.raises(ValueError, match="line 1: expected 't Q'"):
         read_hydrograph(io.StringIO("0 1 2\n"))
@@ -118,7 +118,7 @@ def test_scenario_discharge_two_phases():
 
 def write_config(tmp_path, body, name="scenario.cfg"):
     path = tmp_path / name
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     return path
 
 
@@ -128,6 +128,12 @@ output_dir = out
 total_duration = 60
 snapshot_interval = 20
 """
+
+
+def write_base_config_with(tmp_path, key, value):
+    """BASE_CONFIG with ``key = value`` in place of its own line for ``key``, if any."""
+    lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(key + " ")]
+    return write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
 
 
 def test_load_scenario_paths_and_defaults(tmp_path):
@@ -150,11 +156,11 @@ def test_load_scenario_absolute_path_kept(tmp_path):
     # decoy with the same name beside the config must not be read.
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
-    (elsewhere / "h.txt").write_text("0 1\n10 3\n")
+    (elsewhere / "h.txt").write_text("0 1\n10 3\n", encoding="utf-8")
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
-    (cfg_dir / "h.txt").write_text("0 7\n")
-    (cfg_dir / "riv.txt").write_text("2 0\n3 0\n")
+    (cfg_dir / "h.txt").write_text("0 7\n", encoding="utf-8")
+    (cfg_dir / "riv.txt").write_text("2 0\n3 0\n", encoding="utf-8")
     path = write_config(cfg_dir, BASE_CONFIG + f"hydrograph = {elsewhere / 'h.txt'}\n"
                         "riverbed_mask = riv.txt\nboundary.west = discharge\n")
     sc = load_scenario(path)
@@ -171,9 +177,9 @@ def test_load_scenario_absolute_path_kept(tmp_path):
 def test_load_scenario_reads_and_checks_the_inflow_files(tmp_path, name, text, message):
     # The DSM named by BASE_CONFIG does not exist: the inflow files are read
     # and checked when the scenario loads, before anything reads the DSM.
-    (tmp_path / "h.txt").write_text("0 1\n5 2\n")
-    (tmp_path / "m.txt").write_text("3 0\n")
-    (tmp_path / name).write_text(text)
+    (tmp_path / "h.txt").write_text("0 1\n5 2\n", encoding="utf-8")
+    (tmp_path / "m.txt").write_text("3 0\n", encoding="utf-8")
+    (tmp_path / name).write_text(text, encoding="utf-8")
     path = write_config(tmp_path, BASE_CONFIG + "boundary.west = discharge\n"
                         "hydrograph = h.txt\nriverbed_mask = m.txt\n")
     with pytest.raises(ConfigError) as info:
@@ -214,6 +220,14 @@ def test_load_scenario_rejects_bad_configs(tmp_path, extra, fragment):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("key", ["total_duration", "snapshot_interval"])
+def test_load_scenario_rejects_a_duration_that_is_not_positive(tmp_path, key, value):
+    path = write_base_config_with(tmp_path, key, value)
+    with pytest.raises(ConfigError, match=f"^{key} must be positive$"):
+        load_scenario(path)
+
+
 FLOAT_KEYS = ["g", "manning_n", "cfl", "h_dry", "dt_min", "dt_max", "spinup_q",
               "spinup_duration", "total_duration", "snapshot_interval", "initial_h"]
 
@@ -221,8 +235,7 @@ FLOAT_KEYS = ["g", "manning_n", "cfl", "h_dry", "dt_min", "dt_max", "spinup_q",
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_load_scenario_rejects_non_finite_numbers(tmp_path, key, value):
-    lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(key + " ")]
-    path = write_config(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    path = write_base_config_with(tmp_path, key, value)
     with pytest.raises(ConfigError, match=f"key '{key}': expected a finite number"):
         load_scenario(path)
 
@@ -250,7 +263,7 @@ def test_load_scenario_rejects_a_spinup_key_without_a_discharge_edge(tmp_path, k
 def test_load_scenario_rejects_an_empty_riverbed_mask(tmp_path):
     cfg = write_channel_scenario(tmp_path)
     mask = tmp_path / "riverbed.txt"
-    mask.write_text("# the river is yet to be mapped\n")
+    mask.write_text("# the river is yet to be mapped\n", encoding="utf-8")
     with pytest.raises(ConfigError) as info:
         load_scenario(cfg)
     assert str(info.value) == f"{mask}: no riverbed cells"
@@ -265,8 +278,10 @@ def test_load_scenario_missing_required_keys(tmp_path):
 
 
 def test_load_scenario_parses_booleans(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG + "nodata_walls = yes\n")
-    assert load_scenario(path).nodata_walls
+    for value, walls in [("true", True), ("Yes", True), ("1", True), ("on", True),
+                         ("false", False), ("NO", False), ("0", False), ("off", False)]:
+        path = write_config(tmp_path, BASE_CONFIG + f"nodata_walls = {value}\n")
+        assert load_scenario(path).nodata_walls is walls, value
 
 
 # --------------------------------------------------------------------------
@@ -479,12 +494,12 @@ def test_sub_second_snapshots_each_get_their_own_files(tmp_path):
     # Whole-second names would give t = 1.5 and t = 2.0 the same h_000002.asc.
     def scenario(total, outdir):
         cfg = write_channel_scenario(tmp_path, outdir=outdir)
-        text = cfg.read_text()
+        text = cfg.read_text(encoding="utf-8")
         for old, new in (("total_duration = 4", f"total_duration = {total}"),
                          ("snapshot_interval = 2", "snapshot_interval = 0.5"),
                          ("spinup_duration = 1", "spinup_duration = 0")):
             text = text.replace(old, new)
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         return load_scenario(cfg)
 
     out = run(scenario(2, "out")).output_dir
@@ -533,8 +548,8 @@ def test_run_restart_refuses_a_changed_scenario(tmp_path, name, old, new):
     cfg = write_channel_scenario(tmp_path, outdir="out_b")
     run(load_scenario(cfg), checkpoint=(2.0, cp))
     edited = tmp_path / name
-    assert old in edited.read_text()
-    edited.write_text(edited.read_text().replace(old, new))
+    assert old in edited.read_text(encoding="utf-8")
+    edited.write_text(edited.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
     with pytest.raises(ConfigError, match="different scenario"):
         run(load_scenario(cfg), restart_path=cp)
 
@@ -559,8 +574,8 @@ def test_run_reads_no_inflow_file_after_the_scenario_loads(tmp_path):
     assert run(sc, restart_path=cp).final_t == 4.0
 
     # The checkpoint still records the hydrograph it was written with.
-    (tmp_path / "hydro.txt").write_text("0 1.0\n5 2.5\n")
-    (tmp_path / "riverbed.txt").write_text("3 0\n4 0\n")
+    (tmp_path / "hydro.txt").write_text("0 1.0\n5 2.5\n", encoding="utf-8")
+    (tmp_path / "riverbed.txt").write_text("3 0\n4 0\n", encoding="utf-8")
     other = load_scenario(cfg)
     (tmp_path / "hydro.txt").unlink()
     (tmp_path / "riverbed.txt").unlink()
@@ -583,6 +598,24 @@ def test_run_checkpoint_argument_validation(tmp_path):
     with pytest.raises(ConfigError, match="snapshot boundary"):
         run(sc, checkpoint=(1.7, tmp_path / "x.chk"))
     assert not (tmp_path / "x.chk").exists()
+
+
+@pytest.mark.parametrize("file, old, new, message", [
+    ("terrain.asc", "\n0.18 ", "\n-9999 ", r"^DSM has 1 nodata cell\(s\); "),
+    ("riverbed.txt", "4 0", "4 1", r"^riverbed cell \(4, 1\) is not on the west edge$"),
+], ids=["nodata-dsm", "riverbed-off-edge"])
+def test_run_rejects_a_dsm_or_mask_that_does_not_fit(tmp_path, file, old, new, message):
+    # The scenario loads: both are checked against the DSM, which run reads
+    # and load_scenario does not.
+    cfg = write_channel_scenario(tmp_path)
+    path = tmp_path / file
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    sc = load_scenario(cfg)
+    with pytest.raises(ConfigError, match=message):
+        run(sc)
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_run_abort_writes_last_good_state(tmp_path):
@@ -615,16 +648,16 @@ def assert_write_fails_and_keeps(path, write, monkeypatch):
 
 def test_atomic_open_replaces_only_on_a_clean_exit(tmp_path):
     path = tmp_path / "out.txt"
-    path.write_text("old\n")
+    path.write_text("old\n", encoding="utf-8")
     with pytest.raises(RuntimeError):
         with atomic_open(path) as fh:
             fh.write("new, partial")
             raise RuntimeError("writer failed")
-    assert path.read_text() == "old\n"
+    assert path.read_text(encoding="utf-8") == "old\n"
     assert list(tmp_path.iterdir()) == [path]
     with atomic_open(path) as fh:
         fh.write("new\n")
-    assert path.read_text() == "new\n"
+    assert path.read_text(encoding="utf-8") == "new\n"
     assert list(tmp_path.iterdir()) == [path]
 
 

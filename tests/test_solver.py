@@ -67,6 +67,10 @@ def test_params_validation_and_cfl_warning():
         PhysicalParams(manning_n=-0.1)
     with pytest.raises(ValueError, match="dt_min"):
         PhysicalParams(dt_min=0.0)
+    with pytest.raises(ValueError, match="^g must be positive, got 0.0$"):
+        PhysicalParams(g=0.0)
+    with pytest.raises(ValueError, match="^h_dry must be positive, got 0.0$"):
+        PhysicalParams(h_dry=0.0)
     with pytest.warns(UserWarning, match="unstable"):
         PhysicalParams(cfl=50.0)
 
