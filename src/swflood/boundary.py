@@ -110,6 +110,8 @@ def riemann_inflow(h_interior: float, u_interior: float, q_b: float, g: float) -
 
     invariant = u_interior - 2.0 * math.sqrt(g * max(h_interior, 0.0))
     h_crit = (q_b * q_b / g) ** (1.0 / 3.0)
+    if h_crit == 0.0:  # q_b * q_b underflows below about 1.6e-162
+        h_crit = q_b ** (2.0 / 3.0) / g ** (1.0 / 3.0)
 
     def f(h):
         return q_b / h - 2.0 * math.sqrt(g * h) - invariant

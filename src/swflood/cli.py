@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -21,10 +20,8 @@ from . import validate as validation
 from .features import parse_features, read_class_selection
 from .raster import atomic_open, load_raster, read_input, save_raster
 from .rasterize import build_dsm
-from .simulation import ConfigError, load_scenario, run
+from .simulation import load_scenario, run
 from .solver import NumericalAbort
-
-ENV_BLOCKS = "SWFLOOD_BLOCKS"
 
 logger = logging.getLogger("swflood")
 
@@ -59,9 +56,9 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("run", help="run a flood scenario")
     r.add_argument("--config", required=True, type=Path, help="scenario config file")
-    r.add_argument("--blocks", type=int, default=None,
-                   help="worker threads over the row strips of each stage; "
-                        f"results do not depend on it (overrides ${ENV_BLOCKS})")
+    r.add_argument("--blocks", type=int, default=1,
+                   help="worker threads over the row strips of each stage "
+                        "(default 1); results do not depend on it")
 
     v = sub.add_parser("validate", help="compare the solver against exact solutions")
     v.add_argument("--case", required=True, choices=sorted(validation.CASES))
@@ -75,26 +72,11 @@ def parse_args(argv) -> argparse.Namespace:
     ns = _build_parser().parse_args(argv)
     if ns.command == "build-dsm" and not 0 <= ns.close_tolerance < math.inf:
         raise UsageError("--close-tolerance must be finite and nonnegative")
-    if ns.command == "run" and ns.blocks is not None and ns.blocks < 1:
+    if ns.command == "run" and ns.blocks < 1:
         raise UsageError("--blocks must be at least 1")
     if ns.command == "validate" and ns.n < 10:
         raise UsageError("--n must be at least 10")
     return ns
-
-
-def _resolve_blocks(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_BLOCKS)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_BLOCKS} must be an integer, got {env!r}")
-        if value < 1:
-            raise ConfigError(f"{ENV_BLOCKS} must be at least 1, got {value}")
-        return value
-    return 1
 
 
 def _execute(ns: argparse.Namespace) -> int:
@@ -112,7 +94,7 @@ def _execute(ns: argparse.Namespace) -> int:
         return 0
     if ns.command == "run":
         scenario = load_scenario(ns.config)
-        result = run(scenario, blocks=_resolve_blocks(ns.blocks))
+        result = run(scenario, blocks=ns.blocks)
         logger.info("outputs in %s", result.output_dir)
         return 0
     _, csv_text = validation.report(ns.case, ns.n)

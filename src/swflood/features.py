@@ -4,7 +4,8 @@ Feature files hold one feature per line::
 
     class_id;KIND;x1 y1 z1,x2 y2 z2,...
 
-where KIND is POINT, LINE or POLYGON.  Polygon rings must be explicitly
+where KIND is POINT, LINE or POLYGON in any letter case, and each field may
+be padded with whitespace.  Polygon rings must be explicitly
 closed (first vertex equal to last); turning nearly-closed lines into
 polygons is a separate step (:func:`close_lines`).  Coordinates are the
 tokens Python's ``float()`` accepts; numpy's text parser converts them a
@@ -177,9 +178,9 @@ def parse_features(source) -> FeatureTable:
 
     Blank lines and ``#`` comments are skipped.  Errors report the 1-based
     line number of the offending record; the first error in file order wins.
-    Each block of _BLOCK_LINES lines is split, converted by one numpy call and
-    checked by the rule as a whole.  A block that is not plain records, or
-    that fails, is read again line by line to name its first bad record.
+    Each block of _BLOCK_LINES lines is split by one ``str.split``, converted
+    by one numpy call and checked by the rule as a whole.  Only a block with
+    a malformed line is scanned line by line, to name that line.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -197,10 +198,19 @@ def parse_features(source) -> FeatureTable:
 def _parse_block(lines: list[str], first: int):
     """(class ids, kind codes, vertex counts, vertices) of the records of
     ``lines``, whose first is line ``first``; raises the first error."""
-    records, error = _plain_records(lines, first), None
+    lines = list(map(str.strip, lines))
+    linenos = range(first, first + len(lines))
+    records, error = _records(lines), None
     if records is None:
-        records, error = _records(lines, first)
-    linenos, class_ids, kinds, vtoks, counts = records
+        # A blank or comment line is no record, so only a block that has one
+        # (or a malformed line) drops them.
+        kept = [i for i, line in enumerate(lines) if line and line[0] != "#"]
+        lines, linenos = [lines[i] for i in kept], [linenos[i] for i in kept]
+        records = _records(lines)
+    if records is None:
+        bad, error = _malformed(lines, linenos)
+        records, linenos = _records(lines[:bad]), linenos[:bad]
+    class_ids, kinds, vtoks, counts = records
     offsets = _offsets(counts)
     vertices = bulk_floats(vtoks, len(vtoks), 3)
     if vertices is None:
@@ -224,77 +234,53 @@ def _parse_block(lines: list[str], first: int):
     return class_ids, kinds, counts, vertices
 
 
-def _plain_records(lines: list[str], first: int):
-    """The records of a block whose every line is one record in the plain
-    spelling, split by one ``str.split``, or None.
+def _records(lines: list[str]):
+    """(class ids, kind codes, vertex tokens, vertex counts) of the stripped
+    ``lines``, split by one ``str.split``, or None if one is not a record.
 
-    Plain means exactly two ``;`` on every line, a class id that ``int()``
-    reads and int64 holds, and a kind in capitals; a blank line fails the
-    first and a comment line the second.  Any other block goes to the
-    per-line loop, which reads every spelling the same way.
+    A record has exactly two ``;``, a class id that ``int()`` reads and int64
+    holds, and a kind in any letter case; its fields may be padded.
     """
     n = len(lines)
+    if not n:
+        return np.empty(0, np.int64), np.empty(0, np.int8), [], np.empty(0, np.int64)
     if list(map(str.count, lines, itertools.repeat(";", n))) != [2] * n:
         return None
-    text = "".join(lines)
-    # Each line ends in its line break, if any, so it gives three fields.
-    fields = text.replace("\n", ";").split(";")[: 3 * n]
+    fields = ";".join(lines).split(";")
     try:
-        class_ids = list(map(int, fields[0::3]))
+        class_ids = list(map(int, map(str.strip, fields[0::3])))
     except ValueError:
         return None
     # Checked here: numpy before 2.0 wraps an int outside int64, with a warning.
     if min(class_ids) < _INT64.min or max(class_ids) > _INT64.max:
         return None
-    kinds = list(map(_KINDS.get, fields[1::3]))
+    kinds = list(map(_KINDS.get, map(str.upper, map(str.strip, fields[1::3]))))
     if None in kinds:
         return None
     verts = fields[2::3]
     counts = np.array(list(map(str.count, verts, itertools.repeat(",", n))), dtype=np.int64)
-    return (range(first, first + n), np.array(class_ids, dtype=np.int64),
-            np.array(kinds, dtype=np.int8), ",".join(verts).split(","), counts + 1)
+    return (np.array(class_ids, dtype=np.int64), np.array(kinds, dtype=np.int8),
+            ",".join(verts).split(","), counts + 1)
 
 
-def _records(lines: list[str], first: int):
-    """(records, error) of a block read line by line.
-
-    The records are those before the first line with a malformed class id,
-    kind or field count, whose FeatureParseError is the error (or None).
-    """
-    linenos, class_ids, kinds, vtoks, counts = [], [], [], [], []
-    error = None
-    for lineno, raw in enumerate(lines, start=first):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def _malformed(lines: list[str], linenos) -> tuple[int, FeatureParseError]:
+    """(index, error) of the first line of ``lines`` with a malformed field
+    count, class id or kind; there is one, since _records refused them."""
+    for i, (lineno, line) in enumerate(zip(linenos, lines)):
         parts = line.split(";")
         if len(parts) != 3:
-            error = FeatureParseError(
+            return i, FeatureParseError(
                 f"line {lineno}: expected 'class;KIND;vertices', got {len(parts)} fields"
             )
-            break
-        cls_tok, kind_tok, verts_tok = map(str.strip, parts)
+        cls_tok, kind_tok = parts[0].strip(), parts[1].strip()
         try:
             class_id = int(cls_tok)
         except ValueError:
-            error = FeatureParseError(f"line {lineno}: bad class id {cls_tok!r}")
-            break
+            return i, FeatureParseError(f"line {lineno}: bad class id {cls_tok!r}")
         if not _INT64.min <= class_id <= _INT64.max:
-            error = FeatureParseError(f"line {lineno}: class id {cls_tok!r} is outside int64")
-            break
-        kind = _KINDS.get(kind_tok.upper())
-        if kind is None:
-            error = FeatureParseError(f"line {lineno}: unknown kind {kind_tok!r}")
-            break
-        tokens = verts_tok.split(",")
-        linenos.append(lineno)
-        class_ids.append(class_id)
-        kinds.append(kind)
-        vtoks.extend(tokens)
-        counts.append(len(tokens))
-    records = (linenos, np.array(class_ids, dtype=np.int64), np.array(kinds, dtype=np.int8),
-               vtoks, np.array(counts, dtype=np.int64))
-    return records, error
+            return i, FeatureParseError(f"line {lineno}: class id {cls_tok!r} is outside int64")
+        if kind_tok.upper() not in _KINDS:
+            return i, FeatureParseError(f"line {lineno}: unknown kind {kind_tok!r}")
 
 
 def _vertices(lineno: int, vtoks: list[str], flat: list[float]) -> None:

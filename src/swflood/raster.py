@@ -223,7 +223,9 @@ def write_ascii_grid(grid: RasterGrid, precision: int = 6) -> str:
     ``precision`` applies to data values (17 reproduces float64 exactly).
     Georeference fields and the nodata sentinel are always written at full
     precision, and nodata cells are printed verbatim as the sentinel so they
-    compare equal on re-read.
+    compare equal on re-read.  A data cell that would print at ``precision``
+    as a number reading back as the sentinel or as infinite is written at
+    17 digits.
     """
     nodata_str = f"{grid.nodata:.17g}"
     out = [
@@ -234,24 +236,45 @@ def write_ascii_grid(grid: RasterGrid, precision: int = 6) -> str:
         f"cellsize {grid.cellsize:.17g}",
         f"NODATA_value {nodata_str}",
     ]
-    # Python floats format and compare faster than numpy scalars, same bytes.
-    # Values without nodata are formatted by one %-format string per block
-    # of rows; "%.Ng" % v gives the bytes of format(v, ".Ng").
-    spec = f".{precision}g"
-    row_format = " ".join([f"%{spec}"] * grid.ncols)
+    # Python floats format faster than numpy scalars, same bytes.  Each block
+    # of rows is formatted by one %-format string; "%.Ng" % v gives the bytes
+    # of format(v, ".Ng").  Nodata cells go in as NaN, which prints "nan" and
+    # no finite value does.
+    cell = f"%.{precision}g"
+    row_format = " ".join([cell] * grid.ncols)
     nodata = grid.nodata
+    # Printing at p digits moves a value by at most 5 * 10**-p of itself, so
+    # a cell can read back as the sentinel only within 10**(1 - p) of the
+    # sentinel's size from it, and as inf only above 1e308.
+    near = 10.0 ** (1 - precision) * abs(nodata) if math.isfinite(nodata) else 0.0
+    lo, hi = nodata - near, nodata + near
     step = max(1, _BLOCK_CELLS // grid.ncols)
     for r0 in range(0, grid.nrows, step):
         block = grid.values[r0 : r0 + step]
-        if not (block == nodata).any():
-            out.append("\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
-            continue
-        for row in block.tolist():
-            if nodata in row:
-                out.append(" ".join([nodata_str if v == nodata else format(v, spec) for v in row]))
-            else:
-                out.append(row_format % tuple(row))
+        holes = block == nodata
+        risky = ((lo <= block) & (block <= hi) & ~holes) | (block > 1e308) | (block < -1e308)
+        if risky.any():
+            text = _exact_format(block, risky, cell, nodata)
+        else:
+            text = "\n".join([row_format] * len(block))
+        if holes.any():
+            values = np.where(holes, np.nan, block).ravel().tolist()
+            out.append((text % tuple(values)).replace("nan", nodata_str))
+        else:
+            out.append(text % tuple(block.ravel().tolist()))
     return "\n".join(out) + "\n"
+
+
+def _exact_format(block: np.ndarray, risky: np.ndarray, cell: str, nodata: float) -> str:
+    """The %-format string of ``block``: ``cell`` for each value, but "%.17g"
+    for a ``risky`` one that ``cell`` prints as a number reading back as
+    ``nodata`` or infinite."""
+    formats = [[cell] * block.shape[1] for _ in range(len(block))]
+    for r, c in np.argwhere(risky).tolist():
+        back = float(cell % float(block[r, c]))
+        if back == nodata or not math.isfinite(back):
+            formats[r][c] = "%.17g"
+    return "\n".join(map(" ".join, formats))
 
 
 def load_raster(path) -> RasterGrid:

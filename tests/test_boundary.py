@@ -234,6 +234,13 @@ def test_riemann_inflow_critical_fallback_on_dry_interior():
     assert out.u == pytest.approx(math.sqrt(G * h_crit), rel=1e-12)
 
 
+@pytest.mark.parametrize("q_b", [1e-170, 1e-300, 5e-324])
+@pytest.mark.parametrize("h_i", [0.0, 0.5])
+def test_riemann_inflow_of_a_discharge_whose_square_underflows(h_i, q_b):
+    out = riemann_inflow(h_i, 0.0, q_b, G)
+    assert math.isfinite(out.h) and out.h > 0 and math.isfinite(out.u)
+
+
 # --------------------------------------------------------------------------
 # Discharge edge fill
 # --------------------------------------------------------------------------

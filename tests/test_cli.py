@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from swflood import raster
-from swflood.cli import UsageError, _resolve_blocks, main, parse_args
+from swflood.cli import UsageError, main, parse_args
 from swflood.features import parse_features, read_class_selection
 from swflood.raster import RasterGrid, load_raster, read_ascii_grid, read_input, write_ascii_grid
-from swflood.simulation import ConfigError, load_scenario
+from swflood.simulation import load_scenario
 from full_disk import half_writing_open
 from scenes import read_summary, write_channel_scenario
 
@@ -25,7 +25,7 @@ from scenes import read_summary, write_channel_scenario
 def test_parse_run_command():
     ns = parse_args(["run", "--config", "s.cfg", "--blocks", "4"])
     assert vars(ns) == {"command": "run", "config": Path("s.cfg"), "blocks": 4}
-    assert parse_args(["run", "--config", "s.cfg"]).blocks is None
+    assert parse_args(["run", "--config", "s.cfg"]).blocks == 1
 
 
 def test_parse_build_dsm_command():
@@ -76,45 +76,32 @@ def test_bad_usage_exits_one(capsys):
 
 
 # --------------------------------------------------------------------------
-# Block count resolution
-# --------------------------------------------------------------------------
-
-
-def test_resolve_blocks_precedence(monkeypatch):
-    monkeypatch.delenv("SWFLOOD_BLOCKS", raising=False)
-    assert _resolve_blocks(None) == 1
-    assert _resolve_blocks(4) == 4
-    monkeypatch.setenv("SWFLOOD_BLOCKS", "9")
-    assert _resolve_blocks(None) == 9
-    assert _resolve_blocks(4) == 4  # the flag wins
-    monkeypatch.setenv("SWFLOOD_BLOCKS", "zero")
-    with pytest.raises(ConfigError, match="must be an integer"):
-        _resolve_blocks(None)
-    monkeypatch.setenv("SWFLOOD_BLOCKS", "0")
-    with pytest.raises(ConfigError, match="at least 1"):
-        _resolve_blocks(None)
-
-
-# --------------------------------------------------------------------------
 # Workflows end to end
 # --------------------------------------------------------------------------
 
 
-def test_run_workflow_exit_zero(tmp_path, monkeypatch):
-    monkeypatch.setenv("SWFLOOD_BLOCKS", "2")
+def test_run_workflow_exit_zero(tmp_path):
     cfg = write_channel_scenario(tmp_path)
-    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--blocks", "2"]) == 0
     assert (tmp_path / "out" / "h_000004.asc").exists()
     summary = read_summary(tmp_path / "out")
     assert summary["status"] == "completed"
     assert summary["blocks"] == "2"
 
 
-def test_run_workflow_flag_overrides_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SWFLOOD_BLOCKS", "2")
+def test_run_workflow_blocks_default_to_one(tmp_path):
     cfg = write_channel_scenario(tmp_path)
-    assert main(["run", "--config", str(cfg), "--blocks", "1"]) == 0
+    assert main(["run", "--config", str(cfg)]) == 0
     assert read_summary(tmp_path / "out")["blocks"] == "1"
+
+
+def test_run_of_a_discharge_whose_square_underflows_exits_zero(tmp_path):
+    # The unit discharge's square underflows to 0 during spin-up.
+    cfg = write_channel_scenario(tmp_path)
+    text = cfg.read_text(encoding="utf-8").replace("spinup_q = 0.5", "spinup_q = 1e-170")
+    assert "spinup_q = 1e-170" in text
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
 
 
 def test_run_missing_dsm_exits_one(tmp_path):

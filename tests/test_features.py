@@ -410,8 +410,7 @@ def feature_records(draw):
         # A closed ring: the last vertex repeats the first, maybe spelled otherwise.
         vertices[-1] = [repr(float(c)) if draw(st.booleans()) else c for c in vertices[0]]
     class_tok = str(draw(st.integers(-5, 99)))
-    # Half the records spell the kind in plain capitals, so that whole blocks
-    # take the one-split path.
+    # Half the records spell the kind in plain capitals, without padding.
     plain = draw(st.booleans())
     kind_tok = kind if plain else draw(st.sampled_from([kind, kind.lower(), kind.title()]))
     fields_extra = 0
@@ -504,11 +503,26 @@ def parse_outcome(parse, text, as_stream):
 @example("1;POINT;0 0 0;2\nPOINT;0 0 0\n", 256, False)
 def test_bulk_parse_matches_the_per_coordinate_parser(text, lines, as_stream):
     # The reference reads one record at a time.  Small blocks put records,
-    # comments and errors on every side of a block edge, and blocks of plain
-    # records take the one-split path.
+    # comments and errors on every side of a block edge.
     with patch.object(features, "_BLOCK_LINES", lines):
         got = parse_outcome(parse_features, text, as_stream)
     assert got == parse_outcome(ref_parse_features, text, as_stream)
+
+
+@pytest.mark.parametrize("lines", [2, 256])
+def test_every_valid_spelling_is_split_at_once(lines):
+    # Blank, comment, CRLF, padded and lower- or title-case lines never reach
+    # the line-by-line scan, which only names a malformed line.
+    text = ("# walls and a roof\r\n\n 10 ; line ; 0.5 0.5 2 , 3.5 0.5 2\r\n"
+            "\xa020\xa0;\xa0Polygon\xa0;\xa00 0 5,1 0 5,1 1 5,0 0 5\xa0\n"
+            "   \n# 1;POINT;0 0 0\n30;point;1 2 3\r\n40;POINT;4 5 6")
+
+    def scan(*args):
+        raise AssertionError("a block of valid records was scanned line by line")
+
+    with patch.object(features, "_BLOCK_LINES", lines), patch.object(features, "_malformed", scan):
+        got = parse_features(text)
+    assert columns(got) == columns(ref_parse_features(text))
 
 
 def test_parse_reports_a_bad_coordinate_before_a_later_bad_class_id():

@@ -237,7 +237,8 @@ def test_copy_is_independent():
 
 
 def ref_write_ascii_grid(grid, precision=6):
-    """The writer that formatted every value with its own format() call."""
+    """The writer that formatted every value with its own format() call, at
+    17 digits where ``precision`` would read back as nodata or infinite."""
     nodata_str = f"{grid.nodata:.17g}"
     out = [
         f"ncols {grid.ncols}",
@@ -250,10 +251,16 @@ def ref_write_ascii_grid(grid, precision=6):
     # Python floats format and compare faster than numpy scalars, same bytes.
     spec = f".{precision}g"
     nodata = grid.nodata
+
+    def cell(v):
+        if v == nodata:
+            return nodata_str
+        text = format(v, spec)
+        back = float(text)
+        return text if math.isfinite(back) and back != nodata else format(v, ".17g")
+
     for row in grid.values:
-        out.append(" ".join(
-            [nodata_str if v == nodata else format(v, spec) for v in row.tolist()]
-        ))
+        out.append(" ".join([cell(v) for v in row.tolist()]))
     return "\n".join(out) + "\n"
 
 
@@ -284,6 +291,16 @@ def test_block_formats_write_the_bytes_of_one_format_per_value(grid, precision, 
     # Small blocks put several of them, with and without nodata, in one grid.
     with patch.object(raster, "_BLOCK_CELLS", cells):
         assert write_ascii_grid(grid, precision) == ref_write_ascii_grid(grid, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.integers(1, 17))
+@example(make_grid([[-9999.0000001, -9999.0]]), 6)
+@example(make_grid([[1.2e300, 1e300]], nodata=1e300), 1)
+@example(make_grid([[1.7976931348623157e308, -1.7976931348623157e308]]), 5)
+def test_every_data_cell_reads_back_as_data(grid, precision):
+    back = read_ascii_grid(write_ascii_grid(grid, precision))
+    np.testing.assert_array_equal(back.nodata_mask, grid.nodata_mask)
 
 
 # --------------------------------------------------------------------------
