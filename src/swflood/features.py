@@ -248,6 +248,7 @@ def _records(lines: list[str]):
         return None
     fields = ";".join(lines).split(";")
     try:
+        # int() refuses U+001C-U+001F, which str.strip() removes, as _malformed does.
         class_ids = list(map(int, map(str.strip, fields[0::3])))
     except ValueError:
         return None

@@ -203,35 +203,33 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
 def max_wave_speed(state: State, params: PhysicalParams, box) -> float:
     """max(|u| + sqrt(g h), |v| + sqrt(g h)) over the wet cells of ``box``; 0 if none.
 
-    The reduction covers the padded extent of the interior box, ghosts
-    included, so boundary-driven waves (a discharge inflow onto a dry bed,
-    say) bound the time step; corner ghosts never feed a flux and are
-    skipped.  Given the state's active box it is the whole-grid maximum:
-    every wet cell, ghosts included, is live and so lies inside the box, and
-    a maximum over a superset of the wet cells is exact.  A None box has no
-    live cell, so no wet one.
+    The reduction covers the padded extent of the interior box as one
+    rectangle, ghosts included, so boundary-driven waves (a discharge inflow
+    onto a dry bed, say) bound the time step.  The rectangle holds corner
+    ghosts too.  Fills write only the edge ghost strips; the stages, the Heun
+    average, the clamp and a restart write only interior cells.  So corner
+    ghosts keep the zeros State starts with and add nothing, and water that a
+    caller writes there can only shorten dt.  Given the state's active box
+    the result is the whole-grid maximum: every wet cell is live and so lies
+    inside the box, and a maximum over a superset of the wet cells is exact.
+    A None box has no live cell, so no wet one.
     """
     if box is None:
         return 0.0
-    nr, nc = state.h.shape
-    r0, r1, c0, c1 = box[0], box[1] + 2 * GHOSTS, box[2], box[3] + 2 * GHOSTS
-    inner = slice(max(r0, GHOSTS), min(r1, nr - GHOSTS))
-    best = 0.0
-    for rows, cols in (
-        (slice(r0, r1), slice(max(c0, GHOSTS), min(c1, nc - GHOSTS))),
-        (inner, slice(c0, min(c1, GHOSTS))),
-        (inner, slice(max(c0, nc - GHOSTS), c1)),
-    ):
-        h = state.h[rows, cols]
-        wet = h > params.h_dry
-        if not wet.any():
-            continue
-        hw = h[wet]
-        c = np.sqrt(params.g * hw)
-        speed_u = np.abs(state.hu[rows, cols][wet]) / hw + c
-        speed_v = np.abs(state.hv[rows, cols][wet]) / hw + c
-        best = max(best, float(speed_u.max()), float(speed_v.max()))
-    return best
+    r0, r1, c0, c1 = box
+    cells = (slice(r0, r1 + 2 * GHOSTS), slice(c0, c1 + 2 * GHOSTS))
+    h = state.h[cells]
+    wet = h > params.h_dry
+    if not wet.any():
+        return 0.0
+    hw = h[wet]
+    # Rounding is monotone, so max(|hu|, |hv|) / h + c is the larger of the
+    # two speeds bit for bit; in place, to allocate fewer box-sized arrays.
+    q = np.abs(state.hu[cells][wet])
+    np.maximum(q, np.abs(state.hv[cells][wet]), out=q)
+    q /= hw
+    q += np.sqrt(params.g * hw)
+    return float(q.max())
 
 
 def dt_from_wave_speed(speed: float, dx: float, dy: float, params: PhysicalParams) -> float:
@@ -247,13 +245,8 @@ def dt_from_wave_speed(speed: float, dx: float, dy: float, params: PhysicalParam
 
 
 def compute_dt(state: State, params: PhysicalParams) -> float:
-    """CFL time step from the wave speed over the whole padded grid.
-
-    The whole interior box (0, nrows, 0, ncols) has the padded extent of
-    rows 0:NR and columns 0:NC, where NR = nrows + 2*GHOSTS and NC likewise,
-    so max_wave_speed reads rows 0:NR of the interior columns GHOSTS:NC-GHOSTS,
-    and rows GHOSTS:NR-GHOSTS of the ghost columns 0:GHOSTS and NC-GHOSTS:NC.
-    """
+    """CFL time step from the wave speed over the whole padded grid, which is
+    the padded extent of the whole interior box."""
     box = (0, state.nrows, 0, state.ncols)
     return dt_from_wave_speed(max_wave_speed(state, params, box), state.dx, state.dy, params)
 
@@ -313,18 +306,21 @@ def box_cells(box):
 def _depth_rule(state: State, box, box_min: float, context: str) -> float:
     """Apply the whole-grid depth rule after a pass that changed only ``box``.
 
-    ``box_min`` is the minimum depth over the box.  Cells outside it are not
-    live, so they hold depth +0.0 or -0.0 and the interior's minimum is
-    min(box_min, 0.0) unless the box is the whole interior.  A minimum below
+    ``box_min``, the minimum depth over the box, is the interior's too.
+    Cells outside the box are not live, so they hold depth +0.0 or -0.0.  A
+    box side short of the grid edge has an outer ring two cells from every
+    live cell, where both depth traces at the inner faces are 0: HLLC's dry
+    branch gives those faces zero flux and no sources, so the ring keeps
+    depth +-0.0 through a stage.  The outer ring of the Heun region is such
+    a ring of a stage box, and U^n is +-0.0 there as well.  So box_min is
+    already at most 0 when any cell lies outside the box.  A minimum below
     -POSITIVITY_TOL aborts naming the first cell of the box holding it; a
     roundoff-negative one clamps the whole interior in place, which also
     rewrites -0.0 depths outside the box to +0.0.  Returns the interior's
     minimum before the clamp.
     """
-    r0, r1, c0, c1 = box
-    if (r1 - r0, c1 - c0) != (state.nrows, state.ncols):
-        box_min = min(box_min, 0.0)
     if box_min < -POSITIVITY_TOL:
+        r0, _, c0, _ = box
         h = state.h[box_cells(box)]
         r, c = np.unravel_index(int(np.argmin(h)), h.shape)
         raise NumericalAbort(

@@ -263,6 +263,23 @@ def test_discharge_edge_carries_total_inflow():
     assert st.hu[4 + GHOSTS, 1] == -st.hu[4 + GHOSTS, 2]
 
 
+@pytest.mark.parametrize("edge", ["west", "north"])
+def test_discharge_spreads_over_the_cell_side_along_its_edge(edge):
+    # With dx = 1 and dy = 0.25, 2 m3/s over 4 cells is 2 m2/s per cell on a
+    # west edge (faces dy high) and 0.5 m2/s on a north edge (faces dx wide).
+    st = State(9, 7, 1.0, 0.25, np.zeros((9, 7)))
+    st.h[INT] = 1.0
+    mask = np.array([1, 2, 4, 5])
+    conditions = dict.fromkeys(("north", "south", "east", "west"), wall())
+    conditions[edge] = discharge(lambda t: 2.0, mask)
+    assert apply_boundaries(st, BoundarySpec(**conditions), 0.0, PARAMS) == 0
+    if edge == "west":
+        ghost_q, expected = st.hu[mask + GHOSTS, :GHOSTS], 2.0 / (4 * st.dy)
+    else:
+        ghost_q, expected = st.hv[:GHOSTS, mask + GHOSTS], 2.0 / (4 * st.dx)
+    np.testing.assert_allclose(ghost_q, expected, rtol=1e-12)
+
+
 def test_discharge_onto_dry_bed_counts_fallbacks():
     st = State(6, 6, 1.0, 1.0, np.zeros((6, 6)))
     spec = BoundarySpec(wall(), wall(), wall(),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swflood import raster
+from swflood import raster, solver
 from swflood.cli import UsageError, main, parse_args
 from swflood.features import parse_features, read_class_selection
 from swflood.raster import RasterGrid, load_raster, read_ascii_grid, read_input, write_ascii_grid
@@ -93,6 +93,35 @@ def test_run_workflow_blocks_default_to_one(tmp_path):
     cfg = write_channel_scenario(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
     assert read_summary(tmp_path / "out")["blocks"] == "1"
+
+
+def test_run_on_many_strips_writes_the_same_bytes_at_two_blocks(tmp_path, monkeypatch):
+    # The channel's 8 rows fit one strip, which runs inline at any --blocks;
+    # strips of 2 padded rows of 14 cells make 4, so 2 blocks use the pool.
+    monkeypatch.setattr(solver, "_STRIP_CELLS", 2 * 14)
+    counts, strips = [], solver._strips
+
+    def counted(*args):
+        out = strips(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(solver, "_strips", counted)
+    outs = {}
+    for blocks in ("1", "2"):
+        cfg = write_channel_scenario(tmp_path, outdir=f"out_{blocks}")
+        assert main(["run", "--config", str(cfg), "--blocks", blocks]) == 0
+        outs[blocks] = tmp_path / f"out_{blocks}"
+    assert max(counts) == 4
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert sorted(p.name for p in outs["2"].iterdir()) == names
+    assert "max_h.asc" in names and "h_000004.asc" in names
+    for name in names:
+        if name != "summary.txt":
+            assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
+    one, two = read_summary(outs["1"]), read_summary(outs["2"])
+    assert (one.pop("blocks"), two.pop("blocks")) == ("1", "2")
+    assert two == one
 
 
 def test_run_of_a_discharge_whose_square_underflows_exits_zero(tmp_path):

@@ -501,6 +501,7 @@ def parse_outcome(parse, text, as_stream):
 @example("1;POINT;0 0 0\n-9223372036854775809;POINT;0 0 0\n", 256, False)
 @example("1;POINT;0 0 0\n2;POINT;1 1 1\n3;LINE;0 0 0,0 0 1\n4;POINT;0 0 0,1 1 1\n", 2, False)
 @example("1;POINT;0 0 0;2\nPOINT;0 0 0\n", 256, False)
+@example("0\x1c;POINT;0 0 0\n", 1, False)
 def test_bulk_parse_matches_the_per_coordinate_parser(text, lines, as_stream):
     # The reference reads one record at a time.  Small blocks put records,
     # comments and errors on every side of a block edge.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from swflood import raster
+from swflood.partition import BlockEngine
 from swflood.raster import (
     RasterGrid,
     atomic_open,
@@ -34,7 +35,7 @@ from swflood.simulation import (
     scenario_discharge,
 )
 from swflood.solver import NumericalAbort
-from swflood.state import INT, PhysicalParams, State
+from swflood.state import GHOSTS, INT, PhysicalParams, State
 from full_disk import half_writing_open
 from scenes import read_summary, write_channel_scenario
 
@@ -591,6 +592,34 @@ def test_run_blocked_matches_serial(tmp_path):
     assert res2.balance.inflow == res1.balance.inflow
     assert res2.balance.outflow == res1.balance.outflow
     assert res2.steps == res1.steps
+
+
+def test_run_leaves_the_corner_ghosts_at_plus_zero(tmp_path, monkeypatch):
+    # max_wave_speed reduces over the corner ghosts as well.  That is exact
+    # only while no fill, stage, Heun average, clamp or restart writes them,
+    # so they keep the +0.0 that State starts with.
+    corners, gather = [], BlockEngine.gather
+    ends = (slice(0, GHOSTS), slice(-GHOSTS, None))
+
+    def checked(engine):
+        state = engine.state
+        corners.append([arr[rows, cols] for arr in (state.h, state.hu, state.hv)
+                        for rows in ends for cols in ends])
+        return gather(engine)
+
+    monkeypatch.setattr(BlockEngine, "gather", checked)
+    cp = tmp_path / "mid.chk"
+    steps = 0
+    for blocks in (1, 2):
+        cfg = write_channel_scenario(tmp_path, outdir=f"out_{blocks}")
+        steps += run(load_scenario(cfg), blocks=blocks, checkpoint=(2.0, cp)).steps
+    res = run(load_scenario(write_channel_scenario(tmp_path, outdir="out_r")),
+              restart_path=cp)
+    assert res.final_t == 4.0
+    # One gather before each run's loop and one after each of its steps.
+    assert len(corners) > steps + 3
+    corners = np.array(corners)
+    assert (corners == 0.0).all() and not np.signbit(corners).any()
 
 
 def test_run_checkpoint_argument_validation(tmp_path):

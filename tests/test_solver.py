@@ -7,6 +7,9 @@ from swflood.boundary import BoundarySpec
 from swflood.partition import rk2_step
 from swflood.solver import (
     NumericalAbort,
+    StageFluxes,
+    StepDiagnostics,
+    accumulate_edge_volumes,
     active_box,
     compute_dt,
     dt_from_wave_speed,
@@ -129,6 +132,28 @@ def test_dt_scales_with_cfl_and_spacing():
     assert compute_dt(st_fine, PhysicalParams(cfl=0.5)) == 0.5 * dt2
 
 
+def test_dt_takes_the_smaller_cell_side():
+    # cfl * min(dx, dy) / speed = 0.5 * 0.25 / 2; the larger side would give 0.25.
+    for dx, dy in ((1.0, 0.25), (0.25, 1.0)):
+        assert dt_from_wave_speed(2.0, dx, dy, PhysicalParams()) == 0.0625
+
+
+def test_edge_volumes_weight_each_line_by_its_cell_side():
+    # West and east lines cross faces dy high, north and south ones faces dx
+    # wide; a unit flux through an edge's 3 faces moves 3 * side * weight.
+    dx, dy = 1.0, 0.25
+    for edge, side, outward in (("west", dy, -1.0), ("east", dy, 1.0),
+                                ("north", dx, -1.0), ("south", dx, 1.0)):
+        volume = 3 * side * 0.5
+        for sign, moved in ((-1.0, (volume, 0.0)), (1.0, (0.0, volume))):
+            edges = StageFluxes(west=np.zeros(3), east=np.zeros(3),
+                                north=np.zeros(3), south=np.zeros(3))
+            setattr(edges, edge, np.full(3, sign * outward))
+            diag = StepDiagnostics(dt=1.0, max_wave_speed=0.0, min_h=0.0)
+            accumulate_edge_volumes(diag, edges, dx, dy, 0.5)
+            assert (diag.inflow_volume, diag.outflow_volume) == moved, (edge, sign)
+
+
 def test_dt_all_dry_returns_dt_max():
     st = lake(depth=0.0)
     assert compute_dt(st, PhysicalParams(dt_max=7.5)) == 7.5
@@ -150,11 +175,12 @@ def test_wave_speed_sees_ghost_strips():
     for box in (active_box(st), (0, st.nrows, 0, st.ncols)):
         assert max_wave_speed(st, params, box) == speed
     assert compute_dt(st, params) == dt_from_wave_speed(speed, st.dx, st.dy, params)
-    # Corner ghosts never feed a flux and are ignored.
+    # No fill writes a corner ghost, so one holds water only if a caller
+    # put it there; it then counts like any other wet ghost.
     st2 = lake(depth=0.0)
     st2.h[0, 0] = 5.0
     for box in (active_box(st2), (0, st2.nrows, 0, st2.ncols)):
-        assert max_wave_speed(st2, params, box) == 0.0
+        assert max_wave_speed(st2, params, box) == np.sqrt(G * 5.0)
 
 
 # --------------------------------------------------------------------------
