@@ -34,6 +34,19 @@ anywhere aborts first, a too-negative depth aborts naming the first cell
 holding the box minimum, and a roundoff-negative minimum clamps the whole
 interior, which also rewrites -0.0 depths outside the box to +0.0.
 
+No temporary of a strip is allocated.  Each thread owns a kernels.Workspace
+for its life (see _workspace), and the kernels write every intermediate
+into its views through numpy ``out=``; ``out=`` gives the bits a new array
+would get.  A strip computes the velocities of its rows and halo rows into
+it, once for both sweeps.  The x sweep writes its result straight into the
+strip's rows of the whole-box outputs, the y sweep adds its own, and the
+edge flux lines are copied out, so nothing a strip returns points into the
+workspace.  Phase 2 runs the update in the strip's rows of those outputs
+and friction in the workspace; the Heun average and the wave speed work in
+place and in the workspace too.  So a warm step takes no fresh pages for
+its temporaries: it allocates the whole-box outputs and the saved copies
+of U^n, and little else.
+
 The rest of a step is as lean (see partition.BlockEngine.step): the wave
 speed reduces over the first stage's box, and the saved copy of U^n, the
 Heun average and the depth minimum cover only the region the two stages
@@ -42,6 +55,7 @@ change.  Each gives the bits of its whole-grid form, as its docstring shows.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +68,29 @@ from .state import GHOSTS, INT, PhysicalParams, State, velocity
 POSITIVITY_TOL = 1.0e-12
 
 # A stage is evaluated in strips of rows holding about this many padded
-# cells, so every temporary of a strip (128 KiB) stays in L2 and comes from
-# the allocator's free lists rather than fresh pages.  Smaller strips run no
-# faster on one thread and scale worse on several: each numpy call then hands
-# the GIL between the worker threads after only a few microseconds of work.
+# cells, so every temporary of a strip (128 KiB) stays in L2.  The
+# temporaries are views of the running thread's workspace, which keeps its
+# pages mapped from strip to strip and step to step: allocated per
+# operation, they would be trimmed from the heap and faulted back in on every
+# sweep.  Smaller strips run no faster on one thread and scale worse on
+# several: each numpy call then hands the GIL between the worker threads
+# after only a few microseconds of work.
 _STRIP_CELLS = 16384
+
+
+# Each thread's kernel workspace (see kernels.Workspace), kept for the
+# thread's life, so the one-thread engine that rk2_step builds on every call
+# reuses the calling thread's.
+_WORKSPACES = threading.local()
+
+
+def _workspace() -> kernels.Workspace:
+    """The calling thread's workspace, with every view handed back."""
+    ws = getattr(_WORKSPACES, "ws", None)
+    if ws is None:
+        ws = _WORKSPACES.ws = kernels.Workspace()
+    ws.reset()
+    return ws
 
 
 class NumericalAbort(RuntimeError):
@@ -117,43 +149,56 @@ def _run_strips(map, fn, strips):
     return [out for out, _ in results]
 
 
-def _axis_residual(h, un, ut, z, dx, g, h_dry):
+def _axis_residual(h, un, ut, z, dx, g, h_dry, ws, out=None):
     """Residual contribution of one sweep direction.
 
     Arrays are oriented with the sweep along the last axis, which carries two
     ghost cells per side; the leading axis holds only the rows being updated.
     ``un`` and ``ut`` are the normal and transverse velocities.  Returns
-    interior-shaped (Lh, Lqn, Lqt) and the mass flux at the first and last
-    interior interface (the domain edges when the strip spans the grid).
+    interior-shaped (Lh, Lqn, Lqt), written into ``out`` when given and
+    else into ``ws``, and the mass flux at the first and last interior
+    interface (the domain edges when the strip spans the grid) as views
+    into ``ws``.  Every temporary comes from ``ws`` and stays held there.
     """
-    w = h + z
-
     hc = h[:, 1:-1]
-    h_m, h_p = kernels.muscl_reconstruct(h[:, :-2], hc, h[:, 2:])
-    w_m, w_p = kernels.muscl_reconstruct(w[:, :-2], w[:, 1:-1], w[:, 2:])
-    du = kernels.muscl_slope(un[:, :-2], un[:, 1:-1], un[:, 2:], dx)
-    dv = kernels.muscl_slope(ut[:, :-2], ut[:, 1:-1], ut[:, 2:], dx)
-    u_m, u_p = kernels.velocity_reconstruct(un[:, 1:-1], hc, h_m, h_p, du, dx, h_dry)
-    v_m, v_p = kernels.velocity_reconstruct(ut[:, 1:-1], hc, h_m, h_p, dv, dx, h_dry)
-    z_m = w_m - h_m
-    z_p = w_p - h_p
+    if out is None:
+        out = ws.take(h[:, GHOSTS:-GHOSTS], n=3)
+    l_h, l_qn, l_qt = out
+    w, = ws.take(h)
+    np.add(h, z, out=w)
+
+    h_m, h_p = kernels.muscl_reconstruct(h[:, :-2], hc, h[:, 2:], ws)
+    w_m, w_p = kernels.muscl_reconstruct(w[:, :-2], w[:, 1:-1], w[:, 2:], ws)
+    du = kernels.muscl_slope(un[:, :-2], un[:, 1:-1], un[:, 2:], dx, ws)
+    dv = kernels.muscl_slope(ut[:, :-2], ut[:, 1:-1], ut[:, 2:], dx, ws)
+    u_m, u_p = kernels.velocity_reconstruct(un[:, 1:-1], hc, h_m, h_p, du, dx, h_dry, ws)
+    v_m, v_p = kernels.velocity_reconstruct(ut[:, 1:-1], hc, h_m, h_p, dv, dx, h_dry, ws)
+    z_m = np.subtract(w_m, h_m, out=w_m)
+    z_p = np.subtract(w_p, h_p, out=w_p)
 
     # Interface k joins trace cell k (its plus face) to trace cell k+1 (minus face).
     h_left, h_right = kernels.hydrostatic_reconstruct(
-        h_p[:, :-1], z_p[:, :-1], h_m[:, 1:], z_m[:, 1:]
+        h_p[:, :-1], z_p[:, :-1], h_m[:, 1:], z_m[:, 1:], ws
     )
     fh, fqn, fqt = kernels.hllc_flux(
-        h_left, u_p[:, :-1], v_p[:, :-1], h_right, u_m[:, 1:], v_m[:, 1:], g
+        h_left, u_p[:, :-1], v_p[:, :-1], h_right, u_m[:, 1:], v_m[:, 1:], g, ws
     )
     s_left, s_right = kernels.interface_sources(
-        h_p[:, :-1], h_m[:, 1:], h_left, h_right, g
+        h_p[:, :-1], h_m[:, 1:], h_left, h_right, g, ws
     )
     ctr = slice(1, -1)
-    fc = kernels.centered_source(h_m[:, ctr], h_p[:, ctr], z_m[:, ctr], z_p[:, ctr], g)
+    fc = kernels.centered_source(h_m[:, ctr], h_p[:, ctr], z_m[:, ctr], z_p[:, ctr], g, ws)
 
-    l_h = -(fh[:, 1:] - fh[:, :-1]) / dx
-    l_qn = -((fqn[:, 1:] + s_left[:, 1:]) - (fqn[:, :-1] + s_right[:, :-1]) - fc) / dx
-    l_qt = -(fqt[:, 1:] - fqt[:, :-1]) / dx
+    # l_h = -(fh[1:] - fh[:-1]) / dx, and likewise for the momenta.  Rounding
+    # is symmetric, so x / -dx gives the bits of -x / dx for every finite x.
+    right, = ws.take(l_h)
+    np.subtract(fh[:, 1:], fh[:, :-1], out=l_h)
+    np.add(fqn[:, 1:], s_left[:, 1:], out=l_qn)
+    np.subtract(l_qn, np.add(fqn[:, :-1], s_right[:, :-1], out=right), out=l_qn)
+    np.subtract(l_qn, fc, out=l_qn)
+    np.subtract(fqt[:, 1:], fqt[:, :-1], out=l_qt)
+    for lines in out:
+        np.divide(lines, -dx, out=lines)
     return l_h, l_qn, l_qt, fh[:, 0], fh[:, -1]
 
 
@@ -163,15 +208,14 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     Returns (Lh, Lhu, Lhv, edges) where edges holds the mass flux lines at
     the four domain-edge interfaces (west/east signed along +x, north/south
     along +row, i.e. positive means southward).  The interior is evaluated
-    in row strips, one ``map`` task each (see the module docstring); the
-    velocities are computed once for both sweeps.
+    in row strips, one ``map`` task each (see the module docstring).  Each
+    strip computes the velocities of its rows and their halo rows once, for
+    both sweeps, in the workspace of its thread.
     """
     nr = h.shape[0] - 2 * GHOSTS
     nc = h.shape[1] - 2 * GHOSTS
     cols = slice(GHOSTS, GHOSTS + nc)
     g, h_dry = params.g, params.h_dry
-    u = velocity(h, hu, h_dry)
-    v = velocity(h, hv, h_dry)
 
     l_h = np.empty((nr, nc))
     l_hu = np.empty((nr, nc))
@@ -179,20 +223,25 @@ def residual_arrays(h, hu, hv, z, dx, dy, params: PhysicalParams, map=map):
     edges = StageFluxes(west=np.empty(nr), east=np.empty(nr))
 
     def strip(r0, r1):
-        mid = slice(r0 + GHOSTS, r1 + GHOSTS)
-        xh, xqn, xqt, edges.west[r0:r1], edges.east[r0:r1] = _axis_residual(
-            h[mid], u[mid], v[mid], z[mid], dx, g, h_dry,
-        )
-        # The y sweep of the strip's rows reads the two halo rows on each side.
+        ws = _workspace()
+        # The strip's rows and the two halo rows on each side, which the y sweep reads.
         pad = slice(r0, r1 + 2 * GHOSTS)
-        yh, yqn, yqt, fh_n, fh_s = _axis_residual(
-            h[pad, cols].T, v[pad, cols].T, u[pad, cols].T, z[pad, cols].T,
-            dy, g, h_dry,
+        hs, zs = h[pad], z[pad]
+        u = velocity(hs, hu[pad], h_dry, ws)
+        v = velocity(hs, hv[pad], h_dry, ws)
+        mark = ws.mark()
+        rows, mid = slice(r0, r1), slice(GHOSTS, -GHOSTS)
+        box = l_h[rows], l_hu[rows], l_hv[rows]
+        *_, edges.west[rows], edges.east[rows] = _axis_residual(
+            hs[mid], u[mid], v[mid], zs[mid], dx, g, h_dry, ws, box,
         )
-        np.add(xh, yh.T, out=l_h[r0:r1])
-        np.add(xqn, yqt.T, out=l_hu[r0:r1])
-        np.add(xqt, yqn.T, out=l_hv[r0:r1])
-        return fh_n, fh_s
+        ws.release(mark)
+        yh, yqn, yqt, fh_n, fh_s = _axis_residual(
+            hs[:, cols].T, v[:, cols].T, u[:, cols].T, zs[:, cols].T, dy, g, h_dry, ws,
+        )
+        for lines, y_lines in zip(box, (yh, yqt, yqn)):
+            np.add(lines, y_lines.T, out=lines)
+        return fh_n.copy(), fh_s.copy()
 
     lines = _run_strips(map, strip, _strips(nr, h.shape[1]))
     edges.north = lines[0][0]
@@ -213,23 +262,38 @@ def max_wave_speed(state: State, params: PhysicalParams, box) -> float:
     the result is the whole-grid maximum: every wet cell is live and so lies
     inside the box, and a maximum over a superset of the wet cells is exact.
     A None box has no live cell, so no wet one.
+
+    The speeds are computed in the workspace, in row strips of about
+    _STRIP_CELLS cells.  Every operation is masked to the wet cells, so dry
+    ones cost little and are never read.  The maximum starts from 0, below
+    every wet speed, so a rectangle without wet cells gives 0 and a NaN
+    speed of a wet cell still wins.
     """
     if box is None:
         return 0.0
     r0, r1, c0, c1 = box
-    cells = (slice(r0, r1 + 2 * GHOSTS), slice(c0, c1 + 2 * GHOSTS))
-    h = state.h[cells]
-    wet = h > params.h_dry
-    if not wet.any():
-        return 0.0
-    hw = h[wet]
-    # Rounding is monotone, so max(|hu|, |hv|) / h + c is the larger of the
-    # two speeds bit for bit; in place, to allocate fewer box-sized arrays.
-    q = np.abs(state.hu[cells][wet])
-    np.maximum(q, np.abs(state.hv[cells][wet]), out=q)
-    q /= hw
-    q += np.sqrt(params.g * hw)
-    return float(q.max())
+    cols = slice(c0, c1 + 2 * GHOSTS)
+    end = r1 + 2 * GHOSTS
+    rows = max(1, _STRIP_CELLS // (c1 - c0 + 2 * GHOSTS))
+    ws = _workspace()
+    best = 0.0
+    for s0 in range(r0, end, rows):
+        cells = slice(s0, min(s0 + rows, end)), cols
+        h = state.h[cells]
+        speed, c, wet = ws.take(h, n=2, masks=1)
+        np.greater(h, params.h_dry, out=wet)
+        # Rounding is monotone, so max(|hu|, |hv|) / h + c is the larger of
+        # the two speeds bit for bit.
+        np.abs(state.hu[cells], out=speed, where=wet)
+        np.abs(state.hv[cells], out=c, where=wet)
+        np.maximum(speed, c, out=speed, where=wet)
+        np.divide(speed, h, out=speed, where=wet)
+        np.sqrt(np.multiply(params.g, h, out=c, where=wet), out=c, where=wet)
+        np.add(speed, c, out=speed, where=wet)
+        # np.maximum, unlike the builtin max, keeps a NaN from either side.
+        best = np.maximum(best, speed.max(where=wet, initial=0.0))
+        ws.reset()
+    return float(best)
 
 
 def dt_from_wave_speed(speed: float, dx: float, dy: float, params: PhysicalParams) -> float:
@@ -251,7 +315,8 @@ def compute_dt(state: State, params: PhysicalParams) -> float:
     return dt_from_wave_speed(max_wave_speed(state, params, box), state.dx, state.dy, params)
 
 
-def friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt, params: PhysicalParams):
+def friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt, params: PhysicalParams,
+                  ws=kernels.FRESH):
     """Semi-implicit Manning friction applied after a hyperbolic stage.
 
         q_next = q_star / (1 + dt * n^2 * |q_n| / (h_n * h_star^(4/3)))
@@ -261,39 +326,54 @@ def friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt, params: Physica
     cells.  |q_next| never exceeds |q_star|.  |q_n| is the component's own
     magnitude, or with params.friction_full_velocity that of the discharge
     vector, sqrt(qx_n^2 + qy_n^2).  Returns (qx_next, qy_next), evaluating
-    h_n * h_star^(4/3) once for both.
+    h_n * h_star^(4/3) once for both; they and every temporary come from
+    ``ws`` (see kernels.Workspace).
     """
     n = params.manning_n
-    h_star = np.asarray(h_star, dtype=np.float64)
-    wet_now = h_star > params.h_dry
+    qx_next, qy_next, safe, q_mag, denom, loss, wet_now, wet_pair, mark = ws.take(
+        h_star, qx_star, qy_star, n=6, masks=2, keep=2)
+    np.greater(h_star, params.h_dry, out=wet_now)
     if n != 0.0:
-        h_n = np.asarray(h_n, dtype=np.float64)
-        wet_pair = (h_n > params.h_dry) & wet_now
-        # np.where evaluates both branches; keep the power off negative depths
-        safe = np.where(wet_pair, h_n, 1.0) * np.where(wet_pair, h_star, 1.0) ** (4.0 / 3.0)
-        q_mag = np.sqrt(qx_n * qx_n + qy_n * qy_n) if params.friction_full_velocity else None
+        np.logical_and(np.greater(h_n, params.h_dry, out=wet_pair), wet_now, out=wet_pair)
+        # The power runs on depth 1 outside wet pairs, never on a negative depth.
+        safe.fill(1.0)
+        np.copyto(safe, h_star, where=wet_pair)
+        np.power(safe, 4.0 / 3.0, out=safe)
+        np.multiply(h_n, safe, out=safe, where=wet_pair)
+        if params.friction_full_velocity:
+            np.multiply(qx_n, qx_n, out=q_mag)
+            np.add(q_mag, np.multiply(qy_n, qy_n, out=loss), out=q_mag)
+            np.sqrt(q_mag, out=q_mag)
+    dry_now = np.logical_not(wet_now, out=wet_now)
 
-    def one(q_star, q_n):
-        q_star = np.asarray(q_star, dtype=np.float64)
+    for out, q_star, q_n in ((qx_next, qx_star, qx_n), (qy_next, qy_star, qy_n)):
         if n == 0.0:
-            return np.where(wet_now, q_star, 0.0)
-        mag = np.abs(q_n) if q_mag is None else q_mag
-        denom = np.where(wet_pair, 1.0 + (dt * n * n) * mag / safe, 1.0)
-        return np.where(wet_now, q_star / denom, 0.0)
+            np.copyto(out, q_star)
+        else:
+            # q_star / (1 + dt n^2 |q_n| / safe) on wet pairs, q_star / 1 elsewhere.
+            mag = q_mag if params.friction_full_velocity else np.abs(q_n, out=loss)
+            np.multiply(dt * n * n, mag, out=loss, where=wet_pair)
+            np.divide(loss, safe, out=loss, where=wet_pair)
+            denom.fill(1.0)
+            np.add(1.0, loss, out=denom, where=wet_pair)
+            np.divide(q_star, denom, out=out)
+        np.copyto(out, 0.0, where=dry_now)
+    ws.release(mark)
+    return qx_next, qy_next
 
-    return one(qx_star, qx_n), one(qy_star, qy_n)
 
-
-def _check_and_zero_dry(h, hu, hv, h_dry, context) -> float:
+def _check_and_zero_dry(h, hu, hv, h_dry, context, ws) -> float:
     """Abort on non-finite values, zero dry momentum in place; return min depth.
 
-    Negative depths count as dry, before or after clamping to zero.
+    Negative depths count as dry, before or after clamping to zero.  The
+    one mask comes from ``ws``.
     """
-    if not (np.isfinite(h).all() and np.isfinite(hu).all() and np.isfinite(hv).all()):
+    test, = ws.take(h, n=0, masks=1)
+    if not all(np.isfinite(a, out=test).all() for a in (h, hu, hv)):
         raise NumericalAbort(f"non-finite field values after {context}")
-    dry = h <= h_dry
-    hu[dry] = 0.0
-    hv[dry] = 0.0
+    dry = np.less_equal(h, h_dry, out=test)
+    np.copyto(hu, 0.0, where=dry)
+    np.copyto(hv, 0.0, where=dry)
     return float(h.min())
 
 
@@ -388,20 +468,22 @@ def euler_friction_stage(state: State, params: PhysicalParams, dt: float,
     cols = slice(c0 + GHOSTS, c1 + GHOSTS)
 
     def update(s0, s1):
+        ws = _workspace()
         cells = (slice(r0 + GHOSTS + s0, r0 + GHOSTS + s1), cols)
         h_prev = state.h[cells]
         qx_prev = state.hu[cells]
         qy_prev = state.hv[cells]
 
-        h_new = h_prev + dt * l_h[s0:s1]
-        qx_star = qx_prev + dt * l_hu[s0:s1]
-        qy_star = qy_prev + dt * l_hv[s0:s1]
-
+        # U + dt * L, in the strip's rows of L.
+        h_new, qx_star, qy_star = (
+            np.add(prev, np.multiply(dt, lines[s0:s1], out=lines[s0:s1]), out=lines[s0:s1])
+            for prev, lines in ((h_prev, l_h), (qx_prev, l_hu), (qy_prev, l_hv))
+        )
         qx_new, qy_new = friction_step(h_new, qx_star, qy_star, h_prev, qx_prev, qy_prev,
-                                       dt, params)
+                                       dt, params, ws)
 
         min_h = _check_and_zero_dry(h_new, qx_new, qy_new, params.h_dry,
-                                    "hyperbolic stage")
+                                    "hyperbolic stage", ws)
         state.h[cells] = h_new
         state.hu[cells] = qx_new
         state.hv[cells] = qy_new
@@ -428,12 +510,10 @@ def combine_heun(state: State, saved, box, params: PhysicalParams) -> float:
     if box is None:
         return 0.0
     cells = box_cells(box)
-    h_n, hu_n, hv_n = saved
-    state.h[cells] = 0.5 * (h_n + state.h[cells])
-    state.hu[cells] = 0.5 * (hu_n + state.hu[cells])
-    state.hv[cells] = 0.5 * (hv_n + state.hv[cells])
-    min_h = _check_and_zero_dry(state.h[cells], state.hu[cells], state.hv[cells],
-                                params.h_dry, "Heun average")
+    fields = state.h[cells], state.hu[cells], state.hv[cells]
+    for field_n, field in zip(saved, fields):
+        np.multiply(0.5, np.add(field_n, field, out=field), out=field)
+    min_h = _check_and_zero_dry(*fields, params.h_dry, "Heun average", _workspace())
     return _depth_rule(state, box, min_h, "Heun average")
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import FRESH
 from .raster import RasterGrid
 
 logger = logging.getLogger(__name__)
@@ -141,7 +142,13 @@ class State:
         return float(self.h[INT].sum() * self.dx * self.dy)
 
 
-def velocity(h: np.ndarray, q: np.ndarray, h_dry: float) -> np.ndarray:
-    """Velocity q/h with dry cells (h <= h_dry) forced to exactly zero."""
-    wet = h > h_dry
-    return np.where(wet, q / np.where(wet, h, 1.0), 0.0)
+def velocity(h: np.ndarray, q: np.ndarray, h_dry: float, ws=FRESH) -> np.ndarray:
+    """Velocity q/h with dry cells (h <= h_dry) forced to exactly zero.
+
+    The result and the wet mask come from ``ws`` (see kernels.Workspace),
+    which holds both.
+    """
+    out, wet = ws.take(h, q, masks=1)
+    out.fill(0.0)
+    np.divide(q, h, out=out, where=np.greater(h, h_dry, out=wet))
+    return out
