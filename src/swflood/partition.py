@@ -29,7 +29,7 @@ from .solver import (
     euler_friction_stage,
     max_wave_speed,
 )
-from .state import INT, PhysicalParams, State
+from .state import PhysicalParams, State
 
 
 class BlockEngine:
@@ -102,10 +102,9 @@ class BlockEngine:
         B1; the saved region then grows to the bounding box of both, and the
         new cells are copied from the state, which stage 1 did not change
         there.  The Heun average covers that region (see solver.combine_heun).
-        diag.region reports it, or the whole interior after a depth rule
-        clamped in a stage or in the average (the clamp rewrites -0.0 depths
-        anywhere to +0.0); after a clamp in the average, diag.min_h is the
-        interior's minimum after it.
+        No rule of the step writes an interior cell outside it, the depth
+        rule's clamp included, so diag.region reports it.  diag.min_h is the
+        smallest depth that a stage or the average saw before its clamp.
         """
         params, state = self.params, self.state
         apply_boundaries(state, self.spec, t, params)
@@ -121,12 +120,7 @@ class BlockEngine:
         box = active_box(state)
         region, saved = _grow(state, region, saved, box)
         self._stage(dt, diag, box)
-        final = combine_heun(state, saved, region, params)
-        if min(diag.min_h, final) < 0.0:
-            region = (0, state.nrows, 0, state.ncols)
-            if final < 0.0:
-                final = float(state.h[INT].min())
-        diag.min_h = min(diag.min_h, final)
+        diag.min_h = min(diag.min_h, combine_heun(state, saved, region, params))
         diag.region = region
         return diag
 

@@ -13,9 +13,10 @@ A stage works only on its active box: the bounding box of the padded cells
 with non-zero h, hu or hv, grown by the stencil radius GHOSTS and clipped to
 the interior.  Every cell outside it keeps its bits, which is exactly what a
 full-grid stage would give: an all-zero stencil yields the residual
--(0.0 - 0.0)/dx = -0.0 and x + dt*(-0.0) == x for every x, friction leaves
-+0.0 momentum on dry cells, and two dry states exchange a +0.0 edge flux.
-A state with an empty box does nothing; a fully wet one runs the whole grid.
+-(0.0 - 0.0)/dx = -0.0 and x + dt*(-0.0) == x for every x, the dry reset
+leaves +0.0 momentum on dry cells, and two dry states exchange a +0.0 edge
+flux.  A state with an empty box does nothing; a fully wet one runs the
+whole grid.
 
 The box is evaluated in strips of rows holding about _STRIP_CELLS padded
 cells each, so every temporary stays in cache.  A stage runs two phases,
@@ -31,8 +32,8 @@ and the per-strip results (edge flux lines, minimum depths, the first
 failure) are reduced in strip order once every task of the phase has
 returned.  The depth check keeps its whole-grid form: a non-finite value
 anywhere aborts first, a too-negative depth aborts naming the first cell
-holding the box minimum, and a roundoff-negative minimum clamps the whole
-interior, which also rewrites -0.0 depths outside the box to +0.0.
+holding the box minimum, and a roundoff-negative minimum lifts the negative
+depths of the box, every one of them live, to +0.0.
 
 No temporary of a strip is allocated.  Each thread owns a kernels.Workspace
 for its life (see _workspace), and the kernels write every intermediate
@@ -106,7 +107,8 @@ class StepDiagnostics:
     outflow_volume: float = 0.0
     critical_inflow_fallbacks: int = 0
     # Interior rows r0:r1 and columns c0:c1 holding every cell the step
-    # changed, as (r0, r1, c0, c1); None when it changed none.
+    # changed, as (r0, r1, c0, c1): the union of its two stage boxes, since
+    # no rule of the step writes outside them.  None when it changed none.
     region: tuple | None = None
 
 
@@ -273,12 +275,10 @@ def max_wave_speed(state: State, params: PhysicalParams, box) -> float:
         return 0.0
     r0, r1, c0, c1 = box
     cols = slice(c0, c1 + 2 * GHOSTS)
-    end = r1 + 2 * GHOSTS
-    rows = max(1, _STRIP_CELLS // (c1 - c0 + 2 * GHOSTS))
     ws = _workspace()
     best = 0.0
-    for s0 in range(r0, end, rows):
-        cells = slice(s0, min(s0 + rows, end)), cols
+    for s0, s1 in _strips(r1 - r0 + 2 * GHOSTS, c1 - c0 + 2 * GHOSTS):
+        cells = slice(r0 + s0, r0 + s1), cols
         h = state.h[cells]
         speed, c, wet = ws.take(h, n=2, masks=1)
         np.greater(h, params.h_dry, out=wet)
@@ -321,43 +321,41 @@ def friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt, params: Physica
 
         q_next = q_star / (1 + dt * n^2 * |q_n| / (h_n * h_star^(4/3)))
 
-    for each momentum component q, on cells wet before and after the stage;
-    q_next = q_star where n = 0 or the cell just wetted; q_next = 0 on dry
-    cells.  |q_next| never exceeds |q_star|.  |q_n| is the component's own
-    magnitude, or with params.friction_full_velocity that of the discharge
-    vector, sqrt(qx_n^2 + qy_n^2).  Returns (qx_next, qy_next), evaluating
+    for each momentum component q, on wet pairs: cells wet before and after
+    the stage.  Every other cell keeps q_star, dry ones included; the
+    stage's dry reset (_check_and_zero_dry) zeroes those.  With n = 0 it
+    returns (qx_star, qy_star) themselves.  |q_next| never exceeds
+    |q_star|.  |q_n| is the component's own magnitude, or with
+    params.friction_full_velocity that of the discharge vector,
+    sqrt(qx_n^2 + qy_n^2).  Returns (qx_next, qy_next), evaluating
     h_n * h_star^(4/3) once for both; they and every temporary come from
     ``ws`` (see kernels.Workspace).
     """
     n = params.manning_n
-    qx_next, qy_next, safe, q_mag, denom, loss, wet_now, wet_pair, mark = ws.take(
-        h_star, qx_star, qy_star, n=6, masks=2, keep=2)
-    np.greater(h_star, params.h_dry, out=wet_now)
-    if n != 0.0:
-        np.logical_and(np.greater(h_n, params.h_dry, out=wet_pair), wet_now, out=wet_pair)
-        # The power runs on depth 1 outside wet pairs, never on a negative depth.
-        safe.fill(1.0)
-        np.copyto(safe, h_star, where=wet_pair)
-        np.power(safe, 4.0 / 3.0, out=safe)
-        np.multiply(h_n, safe, out=safe, where=wet_pair)
-        if params.friction_full_velocity:
-            np.multiply(qx_n, qx_n, out=q_mag)
-            np.add(q_mag, np.multiply(qy_n, qy_n, out=loss), out=q_mag)
-            np.sqrt(q_mag, out=q_mag)
-    dry_now = np.logical_not(wet_now, out=wet_now)
+    if n == 0.0:
+        return qx_star, qy_star
+    qx_next, qy_next, safe, q_mag, loss, wet_pair, mark = ws.take(
+        h_star, qx_star, qy_star, n=5, masks=1, keep=2)
+    np.greater(h_star, params.h_dry, out=wet_pair)
+    np.greater(h_n, params.h_dry, out=wet_pair, where=wet_pair)
+    # The power runs on depth 1 outside wet pairs, never on a negative depth.
+    safe.fill(1.0)
+    np.copyto(safe, h_star, where=wet_pair)
+    np.power(safe, 4.0 / 3.0, out=safe)
+    np.multiply(h_n, safe, out=safe, where=wet_pair)
+    if params.friction_full_velocity:
+        np.multiply(qx_n, qx_n, out=q_mag)
+        np.add(q_mag, np.multiply(qy_n, qy_n, out=loss), out=q_mag)
+        np.sqrt(q_mag, out=q_mag)
 
     for out, q_star, q_n in ((qx_next, qx_star, qx_n), (qy_next, qy_star, qy_n)):
-        if n == 0.0:
-            np.copyto(out, q_star)
-        else:
-            # q_star / (1 + dt n^2 |q_n| / safe) on wet pairs, q_star / 1 elsewhere.
-            mag = q_mag if params.friction_full_velocity else np.abs(q_n, out=loss)
-            np.multiply(dt * n * n, mag, out=loss, where=wet_pair)
-            np.divide(loss, safe, out=loss, where=wet_pair)
-            denom.fill(1.0)
-            np.add(1.0, loss, out=denom, where=wet_pair)
-            np.divide(q_star, denom, out=out)
-        np.copyto(out, 0.0, where=dry_now)
+        # q_star / (1 + dt n^2 |q_n| / safe) on wet pairs, q_star elsewhere.
+        mag = q_mag if params.friction_full_velocity else np.abs(q_n, out=loss)
+        np.multiply(dt * n * n, mag, out=loss, where=wet_pair)
+        np.divide(loss, safe, out=loss, where=wet_pair)
+        np.add(1.0, loss, out=loss, where=wet_pair)
+        np.copyto(out, q_star)
+        np.divide(q_star, loss, out=out, where=wet_pair)
     ws.release(mark)
     return qx_next, qy_next
 
@@ -365,8 +363,9 @@ def friction_step(h_star, qx_star, qy_star, h_n, qx_n, qy_n, dt, params: Physica
 def _check_and_zero_dry(h, hu, hv, h_dry, context, ws) -> float:
     """Abort on non-finite values, zero dry momentum in place; return min depth.
 
-    Negative depths count as dry, before or after clamping to zero.  The
-    one mask comes from ``ws``.
+    This is a stage's and the Heun average's one dry reset.  Negative depths
+    count as dry, before or after clamping to zero.  The one mask comes from
+    ``ws``.
     """
     test, = ws.take(h, n=0, masks=1)
     if not all(np.isfinite(a, out=test).all() for a in (h, hu, hv)):
@@ -395,19 +394,21 @@ def _depth_rule(state: State, box, box_min: float, context: str) -> float:
     a ring of a stage box, and U^n is +-0.0 there as well.  So box_min is
     already at most 0 when any cell lies outside the box.  A minimum below
     -POSITIVITY_TOL aborts naming the first cell of the box holding it; a
-    roundoff-negative one clamps the whole interior in place, which also
-    rewrites -0.0 depths outside the box to +0.0.  Returns the interior's
-    minimum before the clamp.
+    roundoff-negative one sets the negative depths of the box to +0.0 in
+    place.  Every negative depth is live, so it lies in the box; every other
+    bit, -0.0 depths included, stays.  Returns box_min, from before the
+    clamp.
     """
+    if box_min >= 0.0:
+        return box_min
+    h = state.h[box_cells(box)]
     if box_min < -POSITIVITY_TOL:
         r0, _, c0, _ = box
-        h = state.h[box_cells(box)]
         r, c = np.unravel_index(int(np.argmin(h)), h.shape)
         raise NumericalAbort(
             f"negative depth {box_min:.3e} at cell ({r0 + r}, {c0 + c}) after {context}"
         )
-    if box_min < 0.0:
-        np.maximum(state.h[INT], 0.0, out=state.h[INT])
+    np.copyto(h, 0.0, where=h < 0.0)
     return box_min
 
 
@@ -499,13 +500,13 @@ def combine_heun(state: State, saved, box, params: PhysicalParams) -> float:
 
     ``box`` bounds every cell the two stages changed and ``saved`` holds
     U^n = (h, hu, hv) over it.  Outside it no cell is live (h = +-0,
-    hu = hv = +0) and U2 is U^n, but for -0.0 depths that a stage's clamp
-    rewrote to +0.0; since 0.5 * (x + x) == x and 0.5 * (-0.0 + 0.0) == +0.0,
-    and the dry reset changes nothing there, a whole-grid pass leaves those
-    cells as U2 holds them.  Every non-finite cell is live, so the
-    finiteness check misses none.  The average then runs the depth rule (see
-    _depth_rule) and returns the interior's minimum depth before its clamp;
-    0.0 for a None box.
+    hu = hv = +0) and U2 is U^n bit for bit; since 0.5 * (x + x) == x and
+    the dry reset changes nothing there, a whole-grid pass leaves those
+    cells as they are.  Every non-finite cell is live, so the finiteness
+    check misses none.  The average then runs the depth rule (see
+    _depth_rule), which writes only the negative depths of ``box``, and
+    returns the interior's minimum depth before its clamp; 0.0 for a None
+    box.
     """
     if box is None:
         return 0.0

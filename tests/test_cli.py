@@ -99,14 +99,13 @@ def test_run_on_many_strips_writes_the_same_bytes_at_two_blocks(tmp_path, monkey
     # The channel's 8 rows fit one strip, which runs inline at any --blocks;
     # strips of 2 padded rows of 14 cells make 4, so 2 blocks use the pool.
     monkeypatch.setattr(solver, "_STRIP_CELLS", 2 * 14)
-    counts, strips = [], solver._strips
+    counts, run_strips = [], solver._run_strips
 
-    def counted(*args):
-        out = strips(*args)
-        counts.append(len(out))
-        return out
+    def counted(map, fn, strips):
+        counts.append(len(strips))
+        return run_strips(map, fn, strips)
 
-    monkeypatch.setattr(solver, "_strips", counted)
+    monkeypatch.setattr(solver, "_run_strips", counted)
     outs = {}
     for blocks in ("1", "2"):
         cfg = write_channel_scenario(tmp_path, outdir=f"out_{blocks}")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swflood import simulation, solver
+from swflood import partition, simulation, solver
 from swflood.boundary import BoundarySpec, apply_boundaries, discharge, free_outflow, wall
 from swflood.partition import BlockEngine
 from swflood.raster import RasterGrid, write_ascii_grid
@@ -56,13 +56,12 @@ def ref_max_wave_speed(state, params):
 
 
 def ref_clamp(h, min_h, context):
-    """Abort on a depth below -POSITIVITY_TOL, naming its first cell; clamp
-    the whole interior when the minimum is a roundoff negative."""
+    """Abort on a depth below -POSITIVITY_TOL, naming its first cell; lift
+    the negative depths to +0.0 when the minimum is a roundoff negative."""
     if min_h < -POSITIVITY_TOL:
         r, c = np.unravel_index(int(np.argmin(h)), h.shape)
         raise NumericalAbort(f"negative depth {min_h:.3e} at cell ({r}, {c}) after {context}")
-    if min_h < 0.0:
-        np.maximum(h, 0.0, out=h)
+    h[h < 0.0] = 0.0
 
 
 def ref_stage(state, params, dt):
@@ -119,8 +118,9 @@ def ref_step(state, params, spec, t, dt=None):
     dry = h <= params.h_dry
     hu[dry] = 0.0
     hv[dry] = 0.0
-    ref_clamp(h, float(h.min()), "Heun average")
-    diag.min_h = min(diag.min_h, float(h.min()))
+    min_h = float(h.min())
+    ref_clamp(h, min_h, "Heun average")
+    diag.min_h = min(diag.min_h, min_h)
     return diag
 
 
@@ -351,13 +351,36 @@ def test_engine_step_and_maxima_equal_the_whole_grid_reference(case):
     assert_engine_equals_reference(case)
 
 
-def test_a_stage_clamp_updates_the_maxima_of_the_whole_interior():
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_a_step_writes_no_interior_cell_outside_its_region(case):
+    state, spec = case.build()
+    fields = (state.h, state.hu, state.hv)
+    with patch.object(solver, "_STRIP_CELLS", case.strip_cells), \
+            BlockEngine(state, case.params, spec) as engine:
+        t = 0.0
+        for _ in range(case.steps):
+            before = [f[INT].copy() for f in fields]
+            try:
+                diag = engine.step(t)
+            except NumericalAbort:
+                return
+            t += diag.dt
+            keep = np.ones(before[0].shape, dtype=bool)
+            if diag.region is not None:
+                r0, r1, c0, c1 = diag.region
+                keep[r0:r1, c0:c1] = False
+            for old, f in zip(before, fields):
+                assert old[keep].tobytes() == f[INT][keep].tobytes()
+
+
+def test_a_stage_clamp_keeps_signed_zeros_outside_the_step_region():
     # A flat walled grid at rest: row 0 is wet and cell (2, 1) roundoff-negative.
-    # Stage 1 does not reach that cell, so its depth rule clamps the whole
-    # interior, rewriting the -0.0 depths of rows 9-11 to +0.0; stage 2 wets
-    # it, so the Heun average clamps nothing.  The two stage boxes end at
-    # row 5, yet max_h must take the +0.0 of rows 9-11, as the whole-grid
-    # reference does.
+    # Stage 1's depth rule lifts that cell to +0.0 and writes no other
+    # depth; stage 2 wets it, so the Heun average clamps nothing.  The -0.0
+    # depths of rows 9-11 lie outside both stage boxes and keep their sign,
+    # in the engine and in the whole-grid reference alike, and the region
+    # is the union of the two boxes.
     h = np.zeros((13, 2))
     h[0] = 0.3
     h[2, 1] = -5e-14
@@ -370,11 +393,20 @@ def test_a_stage_clamp_updates_the_maxima_of_the_whole_interior():
     )
     assert_engine_equals_reference(case)
 
+    boxes = []
+
+    def recorded_box(st):
+        boxes.append(solver.active_box(st))
+        return boxes[-1]
+
     state, spec = case.build()
-    diag = BlockEngine(state, case.params, spec).step(0.0)
+    with patch.object(partition, "active_box", recorded_box):
+        diag = BlockEngine(state, case.params, spec).step(0.0)
     assert diag.min_h == -5e-14
-    assert diag.region == (0, 13, 0, 2)
+    assert boxes == [(0, 5, 0, 2), (0, 4, 0, 2)]
+    assert diag.region == (0, 5, 0, 2)
     assert (state.h[INT] > 0.0)[:3].all()
+    assert np.signbit(state.h[INT][9:12]).all()
 
 
 # --------------------------------------------------------------------------
@@ -424,6 +456,14 @@ SIGNED_ZERO_MAXIMA = [
     "48b75bb3115adbcdd04289f5842e2203948cb652ba5916f0a7477ddf2c2028da",
     "d8dbd8a29d5c82231230cf355cfe8670a302583890898c1560f2177f2b554e8b",
 ]
+# The signed-zero run with a roundoff-negative depth at (2, 20) as well.  The
+# depth rule lifts that one cell to +0.0 and keeps every -0.0, so max_h
+# differs from SIGNED_ZERO_MAXIMA only there, holding +0.0 for -0.0.
+ROUNDOFF_MAXIMA = [
+    "721886a2208fd523c4ef89887531f2a59a214626d5dbe7d8a6a2637147bf687f",
+    "48b75bb3115adbcdd04289f5842e2203948cb652ba5916f0a7477ddf2c2028da",
+    "d8dbd8a29d5c82231230cf355cfe8670a302583890898c1560f2177f2b554e8b",
+]
 
 
 def test_valley_maxima_keep_their_bits(tmp_path):
@@ -434,10 +474,9 @@ def test_valley_maxima_keep_their_bits(tmp_path):
 
 @pytest.mark.parametrize("roundoff", [False, True])
 def test_maxima_over_signed_zero_depths_keep_their_bits(tmp_path, monkeypatch, roundoff):
-    # Dry cells away from the channel start at -0.0.  With a roundoff-negative
-    # depth as well, the first Heun average clamps the whole interior, which
-    # rewrites every -0.0 depth to +0.0: the maxima must follow that rewrite
-    # outside the cells the step advanced, and end as in the plain run.
+    # Dry cells away from the channel start at -0.0.  A roundoff-negative
+    # depth as well is lifted to +0.0 alone: the clamp writes no other
+    # cell, so the -0.0 depths stay with or without it.
     assemble = simulation.assemble
 
     def signed_zero_assemble(scenario):
@@ -452,5 +491,5 @@ def test_maxima_over_signed_zero_depths_keep_their_bits(tmp_path, monkeypatch, r
     monkeypatch.setattr(simulation, "assemble", signed_zero_assemble)
     res = run(load_scenario(small_valley(tmp_path)))
     assert res.steps > 20
-    assert np.signbit(res.state.h[INT]).any() != roundoff
-    assert maxima_digests(res.maxima) == (VALLEY_MAXIMA if roundoff else SIGNED_ZERO_MAXIMA)
+    assert np.signbit(res.state.h[INT]).any()
+    assert maxima_digests(res.maxima) == (ROUNDOFF_MAXIMA if roundoff else SIGNED_ZERO_MAXIMA)

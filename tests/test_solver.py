@@ -206,9 +206,15 @@ def test_friction_hand_value():
     assert qy == pytest.approx(0.9900990099009901, rel=1e-15)
 
 
-def test_friction_zero_on_dry_cells():
+def test_friction_leaves_dry_momentum_to_the_dry_reset():
+    # A cell dry after the stage keeps its momentum unscaled; the stage's dry
+    # reset zeroes it.  With n = 0 friction hands back the very arrays.
     params = PhysicalParams(manning_n=0.1)
-    assert friction_step(0.0, 3.0, 3.0, 1.0, 1.0, 1.0, 0.1, params) == (0.0, 0.0)
+    assert friction_step(0.0, 3.0, -3.0, 1.0, 1.0, 1.0, 0.1, params) == (3.0, -3.0)
+    qx, qy = np.array([3.0, 0.5]), np.array([-3.0, 0.5])
+    out = friction_step(np.ones(2), qx, qy, np.ones(2), qx, qy, 0.1,
+                        PhysicalParams(manning_n=0.0))
+    assert out[0] is qx and out[1] is qy
 
 
 def test_friction_never_amplifies():
